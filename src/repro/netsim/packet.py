@@ -49,6 +49,29 @@ class Packet:
     payload: Any = None
     retransmission: bool = False
 
+    def __copy__(self) -> Packet:
+        """Shallow copy, field by field.
+
+        Same result as the generic ``copy.copy`` (``payload`` shared,
+        ``packet_id`` kept, no new id drawn) without its
+        ``__reduce_ex__`` round trip, which dominated the per-packet
+        cost of the NACK store and the SFU forwarding paths.
+        """
+        clone = object.__new__(Packet)
+        clone.size_bytes = self.size_bytes
+        clone.flow = self.flow
+        clone.seq = self.seq
+        clone.frame_index = self.frame_index
+        clone.frame_packet_index = self.frame_packet_index
+        clone.frame_packet_count = self.frame_packet_count
+        clone.capture_time = self.capture_time
+        clone.send_time = self.send_time
+        clone.arrival_time = self.arrival_time
+        clone.packet_id = self.packet_id
+        clone.payload = self.payload
+        clone.retransmission = self.retransmission
+        return clone
+
     @property
     def is_frame_final(self) -> bool:
         """True if this is the last packet of its frame."""

@@ -324,12 +324,15 @@ class ResultCache:
             "config": config_to_dict(config),
             "result": result.to_dict(),
         }
+        # One-shot dumps runs json's C encoder; json.dump into a file
+        # handle streams through the pure-Python one instead.
+        text = json.dumps(entry, separators=(",", ":"))
         fd, tmp_name = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, separators=(",", ":"))
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -62,7 +62,6 @@ class _MissingSeq:
     first_seen: float
     nacks_sent: int = 0
     next_nack_at: float = 0.0
-    lost: bool = False
 
 
 class RetransmissionBuffer:
@@ -78,8 +77,14 @@ class RetransmissionBuffer:
         self.retransmitted = 0
 
     def store(self, packet: Packet, now: float) -> None:
-        """Remember a sent packet (a private copy)."""
-        self._packets[packet.seq] = (now, copy.copy(packet))
+        """Remember a sent packet (a private copy).
+
+        Store times never decrease, so the packets stay in store order:
+        a re-stored sequence is removed first and goes to the back.
+        """
+        packets = self._packets
+        packets.pop(packet.seq, None)
+        packets[packet.seq] = (now, copy.copy(packet))
         self._evict(now)
 
     def fetch(self, seqs: list[int], now: float) -> list[Packet]:
@@ -101,13 +106,14 @@ class RetransmissionBuffer:
         return len(self._packets)
 
     def _evict(self, now: float) -> None:
-        stale = [
-            seq
-            for seq, (stored_at, _) in self._packets.items()
-            if stored_at < now - self._max_age
-        ]
-        for seq in stale:
-            del self._packets[seq]
+        # Stale packets are always a prefix of store order (see store()).
+        packets = self._packets
+        horizon = now - self._max_age
+        while packets:
+            seq = next(iter(packets))
+            if packets[seq][0] >= horizon:
+                break
+            del packets[seq]
 
 
 class NackFrameAssembler:
@@ -134,6 +140,7 @@ class NackFrameAssembler:
         "_scan_start",
         "_received_seqs",
         "_missing",
+        "_lost_seqs",
         "_highest_seq",
         "_chain_intact",
         "_last_displayed_index",
@@ -168,7 +175,10 @@ class NackFrameAssembler:
         self._order: list[int] = []
         self._scan_start = 0
         self._received_seqs: set[int] = set()
+        # Unresolved gaps only; a gap leaves on arrival or when it is
+        # declared lost, so per-packet work never rescans old losses.
         self._missing: dict[int, _MissingSeq] = {}
+        self._lost_seqs: set[int] = set()
         self._highest_seq = -1
         self._chain_intact = True
         self._last_displayed_index = -1
@@ -189,7 +199,7 @@ class NackFrameAssembler:
 
     def missing_count(self) -> int:
         """Unresolved sequence gaps right now."""
-        return sum(1 for m in self._missing.values() if not m.lost)
+        return len(self._missing)
 
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet, now: float) -> list[FrameRecord]:
@@ -200,10 +210,7 @@ class NackFrameAssembler:
             return []  # duplicate (original + retransmission both landed)
         self._received_seqs.add(packet.seq)
 
-        if packet.seq in self._missing:
-            if not self._missing[packet.seq].lost:
-                self.recovered_seqs += 1
-            del self._missing[packet.seq]
+        self._resolve(packet.seq)
         if packet.seq > self._highest_seq:
             for gap_seq in range(self._highest_seq + 1, packet.seq):
                 if gap_seq not in self._received_seqs:
@@ -230,10 +237,7 @@ class NackFrameAssembler:
         if seq in self._received_seqs:
             return
         self._received_seqs.add(seq)
-        if seq in self._missing:
-            if not self._missing[seq].lost:
-                self.recovered_seqs += 1
-            del self._missing[seq]
+        self._resolve(seq)
         if seq > self._highest_seq:
             for gap_seq in range(self._highest_seq + 1, seq):
                 if gap_seq not in self._received_seqs:
@@ -250,17 +254,17 @@ class NackFrameAssembler:
         to_nack: list[int] = []
         newly_lost: list[int] = []
         for seq, missing in self._missing.items():
-            if missing.lost:
-                continue
             if missing.nacks_sent >= self._config.max_retries:
                 if now >= missing.next_nack_at:
-                    missing.lost = True
                     newly_lost.append(seq)
                 continue
             if now >= missing.next_nack_at:
                 to_nack.append(seq)
                 missing.nacks_sent += 1
                 missing.next_nack_at = now + self._config.retry_interval
+        for seq in newly_lost:
+            del self._missing[seq]
+            self._lost_seqs.add(seq)
         if to_nack:
             self.nacks_sent += len(to_nack)
             self._telemetry.count("rtp.nacks_sent", len(to_nack))
@@ -274,6 +278,17 @@ class NackFrameAssembler:
         return sorted(to_nack)
 
     # ------------------------------------------------------------------
+    def _resolve(self, seq: int) -> None:
+        """A sequence number arrived: close its gap or forget its loss.
+
+        A gap closed before it was declared lost counts as recovered.
+        """
+        if seq in self._missing:
+            self.recovered_seqs += 1
+            del self._missing[seq]
+        else:
+            self._lost_seqs.discard(seq)
+
     def _record_for(self, packet: Packet) -> FrameRecord:
         record = self._frames.get(packet.frame_index)
         if record is None:
@@ -308,12 +323,9 @@ class NackFrameAssembler:
     def _display_barrier(self) -> int:
         """Lowest sequence that is still unresolved (missing and not yet
         declared lost); frames entirely below it may display."""
-        unresolved = [
-            seq for seq, m in self._missing.items() if not m.lost
-        ]
-        if not unresolved:
+        if not self._missing:
             return self._highest_seq + 1
-        return min(unresolved)
+        return min(self._missing)
 
     def _advance_display(self, now: float) -> list[FrameRecord]:
         frames = self._frames
@@ -388,7 +400,7 @@ class NackFrameAssembler:
     def _frame_has_lost_seq(self, record: FrameRecord) -> bool:
         end_seq = record.base_seq + record.packet_count - 1
         return any(
-            seq in self._missing and self._missing[seq].lost
+            seq in self._lost_seqs
             for seq in range(record.base_seq, end_seq + 1)
         )
 

@@ -14,10 +14,10 @@ controller's playout target can be.
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigError
 
@@ -55,6 +55,29 @@ class PlayoutConfig:
             raise ConfigError("smoothing must be in (0, 1]")
 
 
+def percentile(values: Iterable[float], q: float) -> float:
+    """``np.percentile(values, q)`` for ``0 <= q <= 100`` with numpy's
+    default ``"linear"`` method, reproduced bit for bit in pure Python.
+
+    The playout target needs one percentile of at most a few hundred
+    samples per displayed frame; at that size numpy's per-call overhead
+    costs far more than the sort.
+    """
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        return ordered[last]
+    lo = math.floor(virtual)
+    t = virtual - lo
+    a = ordered[lo]
+    b = ordered[lo + 1]
+    # numpy's _lerp: interpolate from the nearer end for exactness.
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
 class PlayoutBuffer:
     """Schedules frame display times at an adaptive target delay."""
 
@@ -82,9 +105,7 @@ class PlayoutBuffer:
         delay = complete_time - capture_time
         self._delays.append(delay)
         if len(self._delays) >= 5:
-            observed = float(
-                np.percentile(list(self._delays), cfg.percentile)
-            )
+            observed = percentile(self._delays, cfg.percentile)
             goal = min(
                 max(observed * cfg.safety_factor, cfg.min_delay),
                 cfg.max_delay,
