@@ -1,123 +1,13 @@
-"""Optional compiled hot modules (the ``REPRO_COMPILED`` switch).
+"""Placeholder for compiled hot modules; the simulator is pure Python.
 
-The hottest leaf modules (the batched kernel's merge loop, the GCC
-trendline fit, the link's drain-plan math) have compiled twins in a
-bundled C extension, ``repro._native._hotpath``. Each C function is a
-*transcription* of its Python original — same operations, same IEEE-754
-op order (the build forbids FP contraction), so results are
-bit-identical; ``tools/check_golden.py --compare-kernels`` gates that
-with a dedicated compiled leg.
-
-The extension is optional. ``tools/build_compiled.py`` builds it with
-whatever toolchain is present (mypyc → Cython → the bundled C source
-with the platform compiler); when no artifact exists, everything runs
-pure Python with no behaviour change.
-
-Switch semantics (``REPRO_COMPILED``):
-
-* ``auto`` / unset — use the extension when importable;
-* ``1`` / ``on`` / ``true`` — request it; warn and fall back to pure
-  Python if the artifact is missing (never an error: fallbacks must be
-  automatic, per the golden-gate CI contract);
-* ``0`` / ``off`` / ``false`` — pure Python even if built.
-
-Consumer modules register an *apply hook* via :func:`register`; the
-hook is called with the extension module (or ``None``) immediately and
-again on every :func:`configure` call, so tests and
-``check_golden --compare-kernels`` can flip legs inside one process.
+Only :func:`status` remains: ``perfbench/run.py:environment()`` stamps
+its ``"enabled"`` field on every benchmark run, and the benchmark's
+files change only together with the benchmark.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable
-
-_EXTENSION_NAME = "repro._native._hotpath"
-
-#: Apply hooks from consumer modules; each is called with the active
-#: extension module or ``None``.
-_consumers: list[Callable[[object], None]] = []
-
-_active: object | None = None
-_import_attempted = False
-_import_error: str | None = None
-
-
-def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_COMPILED", "auto").strip().lower()
-    if raw in ("1", "on", "true", "yes"):
-        return "on"
-    if raw in ("0", "off", "false", "no"):
-        return "off"
-    return "auto"
-
-
-def _import_extension() -> object | None:
-    """Import the built extension once; remember why it failed."""
-    global _import_attempted, _import_error
-    _import_attempted = True
-    try:
-        from . import _hotpath  # type: ignore[attr-defined]
-    except ImportError as exc:
-        _import_error = str(exc)
-        return None
-    return _hotpath
-
-
-def configure(enabled: bool | None = None) -> bool:
-    """Select the active leg and re-apply every consumer hook.
-
-    ``enabled=None`` re-reads ``REPRO_COMPILED``; ``True`` requests the
-    compiled leg (pure-Python fallback with a warning if unavailable);
-    ``False`` forces pure Python. Returns whether the compiled leg is
-    now active.
-    """
-    global _active
-    if enabled is None:
-        mode = _mode_from_env()
-    else:
-        mode = "on" if enabled else "off"
-    if mode == "off":
-        _active = None
-    else:
-        _active = _import_extension()
-        if _active is None and mode == "on":
-            warnings.warn(
-                "REPRO_COMPILED requested but the compiled extension is "
-                f"not available ({_import_error or 'not built'}); "
-                "falling back to pure Python "
-                "(run tools/build_compiled.py to build it)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    for apply in _consumers:
-        apply(_active)
-    return _active is not None
-
-
-def register(apply: Callable[[object], None]) -> None:
-    """Register a consumer hook and apply the current leg to it."""
-    _consumers.append(apply)
-    apply(_active)
-
-
-def enabled() -> bool:
-    """Whether the compiled leg is currently active."""
-    return _active is not None
-
 
 def status() -> dict:
-    """Diagnostics for tooling (build scripts, ``--compare-kernels``)."""
-    return {
-        "mode": _mode_from_env(),
-        "enabled": _active is not None,
-        "extension": _EXTENSION_NAME,
-        "import_error": _import_error if _import_attempted else None,
-        "consumers": len(_consumers),
-    }
-
-
-# Resolve the env-selected leg at import time so plain sessions pick the
-# compiled functions up without any explicit call.
-configure()
+    """Compiled-module diagnostics; nothing is ever compiled."""
+    return {"enabled": False}

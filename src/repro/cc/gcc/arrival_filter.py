@@ -14,23 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ... import _native
 from ...rtp.feedback import PacketResult
 
 #: Send-time window that groups packets into one burst (libwebrtc: 5 ms).
 BURST_WINDOW = 0.005
-
-#: Compiled twin of the folding loop (``repro._native``); rebound by
-#: :func:`repro._native.configure` for runtime leg toggling.
-_native_deltas = None
-
-
-def _apply_native(mod) -> None:
-    global _native_deltas
-    _native_deltas = getattr(mod, "arrival_deltas", None) if mod else None
-
-
-_native.register(_apply_native)
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,17 +60,6 @@ class InterArrival:
         burst boundaries, which is exactly where a delay sample (the
         decision input) is emitted.
         """
-        deltas = _native_deltas
-        if deltas is not None:
-            samples, self._current, self._previous = deltas(
-                self._window,
-                self._current,
-                self._previous,
-                results,
-                _Group,
-                DelaySample,
-            )
-            return samples
         samples: list[DelaySample] = []
         window = self._window
         current = self._current

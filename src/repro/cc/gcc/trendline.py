@@ -8,25 +8,12 @@ the overuse detector thresholds.
 
 from __future__ import annotations
 
-from ... import _native
 from .arrival_filter import DelaySample
 
 #: libwebrtc defaults.
 DEFAULT_WINDOW = 20
 SMOOTHING = 0.9
 THRESHOLD_GAIN = 4.0
-
-#: Compiled twin of the slope fit (``repro._native``); rebound by
-#: :func:`repro._native.configure` for runtime leg toggling.
-_native_fit = None
-
-
-def _apply_native(mod) -> None:
-    global _native_fit
-    _native_fit = getattr(mod, "trendline_fit", None) if mod else None
-
-
-_native.register(_apply_native)
 
 
 class TrendlineEstimator:
@@ -56,9 +43,7 @@ class TrendlineEstimator:
         self._gain = threshold_gain
         # Parallel lists (x = relative arrival, y = smoothed delay) with
         # manual window eviction: builtin sum() over a float list runs
-        # at C speed with the same left-to-right accumulation as the
-        # previous deque held, and the compiled fit reads lists without
-        # a conversion.
+        # at C speed and accumulates left to right.
         self._xs: list[float] = []
         self._ys: list[float] = []
         self._accumulated = 0.0
@@ -106,9 +91,6 @@ class TrendlineEstimator:
     def _linear_fit_slope(self) -> float:
         xs = self._xs
         ys = self._ys
-        fit = _native_fit
-        if fit is not None:
-            return fit(xs, ys, self._trend)
         n = len(xs)
         mean_x = sum(xs) / n
         mean_y = sum(ys) / n

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
-from .. import _native
 from ..errors import ConfigError
 from ..simcore.scheduler import Scheduler
 from ..traces.bandwidth import BandwidthTrace
@@ -26,25 +24,8 @@ from .queue import DropTailQueue
 _INF = math.inf
 
 #: Once this many drained entries pile up at the front of the plan list
-#: the consumed prefix is deleted (the plan is a list + head index, not
-#: a deque, so the compiled twin can index it without conversion).
+#: the consumed prefix is deleted.
 _PLAN_COMPACT = 1024
-
-#: Compiled twins of the batched send/sync path (``repro._native``);
-#: rebound by :func:`repro._native.configure` for runtime leg toggling.
-_native_send = None
-_native_sync = None
-_native_arrive = None
-
-
-def _apply_native(mod) -> None:
-    global _native_send, _native_sync, _native_arrive
-    _native_send = getattr(mod, "link_send_batched", None) if mod else None
-    _native_sync = getattr(mod, "link_sync", None) if mod else None
-    _native_arrive = getattr(mod, "link_lane_arrive", None) if mod else None
-
-
-_native.register(_apply_native)
 
 
 def service_end_time(
@@ -115,7 +96,6 @@ class Link:
         "_busy",
         "stats",
         "_batched",
-        "_deliver_many",
         "_no_loss",
         "_plan",
         "_plan_head",
@@ -154,7 +134,6 @@ class Link:
         # ``NoLoss`` verdict is a constant False and draws no RNG.
         self._no_loss = type(self._loss) is NoLoss
         self._busy = False
-        self._deliver_many = None
         self.stats = LinkStats()
         #: Count of packet services completed via the batched drain plan
         #: (diagnostics; compare against ``stats`` totals).
@@ -182,19 +161,8 @@ class Link:
         self._seg_rate = 0.0
         if self._batched:
             self._plan = []
-            # The lane's fire is chosen at construction: the compiled
-            # twin when the native leg is active (partial-bound so the
-            # lane merge loop calls straight into C), else the Python
-            # method. Leg-correct because configure() runs before
-            # session construction.
-            arrive = _native_arrive
-            fire = (
-                self._lane_arrive
-                if arrive is None
-                else partial(arrive, self)
-            )
-            self._lane = scheduler.new_lane(fire, "link")
-            scheduler.add_finalizer(self._sync)
+            self._lane = scheduler.new_lane(self._lane_arrive, "link")
+            scheduler.add_finalizer(self._finalize)
 
     # ------------------------------------------------------------------
     @property
@@ -237,9 +205,6 @@ class Link:
         """Offer a packet to the link; returns False if dropped at the
         queue."""
         if self._batched:
-            send = _native_send
-            if send is not None:
-                return send(self, packet)
             return self._send_batched(packet)
         if not self.queue.offer(packet, self._clock._now):
             return False
@@ -315,10 +280,6 @@ class Link:
         channel-loss stat. Arrival effects are *not* applied here — they
         fire as lane events at their precise times.
         """
-        sync = _native_sync
-        if sync is not None:
-            sync(self, now)
-            return
         plan = self._plan
         head = self._plan_head
         n = len(plan)
@@ -347,6 +308,27 @@ class Link:
             head = 0
         self._plan_head = head
 
+    def _finalize(self, end: float) -> None:
+        """Scheduler finalizer: apply the drain plan through ``end``.
+
+        ``end`` is ``inf`` after :meth:`BatchedScheduler.run`, which
+        stops once heap and lanes are empty. The serial kernel would
+        still fire the finish events of trailing channel-lost packets,
+        so the plan is applied through its last finite finish and the
+        clock moves there; services that never finish stay pending.
+        """
+        if end == _INF:
+            end = self._clock._now
+            plan = self._plan
+            for index in range(len(plan) - 1, self._plan_head - 1, -1):
+                finish = plan[index][1]
+                if finish != _INF:
+                    if finish > end:
+                        end = finish
+                        self._clock.advance_to(end)
+                    break
+        self._sync(end)
+
     def _lane_arrive(self, packet: Packet) -> None:
         now = self._clock._now
         self._sync(now)
@@ -357,54 +339,6 @@ class Link:
         flow_count = stats.per_flow_delivered
         flow_count[packet.flow] = flow_count.get(packet.flow, 0) + 1
         self._deliver(packet)
-
-    # ------------------------------------------------------------------
-    # Bulk fast lane: contiguous arrival runs in one call
-    # ------------------------------------------------------------------
-    def set_deliver_many(self, deliver_many) -> None:
-        """Install a bulk arrival dispatcher and switch the lane to the
-        bulk fast lane.
-
-        ``deliver_many(times, payloads, lo, hi)`` receives a contiguous
-        run of arrivals (guaranteed free of intervening control events
-        by the scheduler) and returns how many it consumed — ``0`` when
-        it has no bulk consumer for the head packet's flow, in which
-        case the link falls back to one exact scalar delivery. Consumers
-        must follow the :class:`~repro.simcore.batched.Timeline`
-        ``fire_many`` contract (advance the clock per entry; stop after
-        any entry with scheduling side effects) and must not read link
-        state or ``Packet.arrival_time`` mid-run (stats and arrival
-        stamps are applied by the link after the run, which is
-        unobservable because nothing fires in between).
-        """
-        self._deliver_many = deliver_many
-        if self._lane is not None:
-            self._lane.fire_many = self._lane_arrive_many
-
-    def _lane_arrive_many(self, times, payloads, lo: int, hi: int) -> int:
-        consumed = self._deliver_many(times, payloads, lo, hi)
-        if consumed == 0:
-            # No bulk consumer for this run's head flow: fire exactly
-            # one entry the scalar way so the scheduler makes progress.
-            self._clock._now = times[lo]
-            self._lane_arrive(payloads[lo])
-            return 1
-        # The consumer advanced the clock to the last consumed arrival;
-        # replay the per-arrival link bookkeeping it skipped.
-        self._sync(self._clock._now)
-        stats = self.stats
-        end = lo + consumed
-        total = 0
-        for i in range(lo, end):
-            packet = payloads[i]
-            packet.arrival_time = times[i]
-            total += packet.size_bytes
-        stats.delivered_packets += consumed
-        stats.delivered_bytes += total
-        flow = payloads[lo].flow
-        flow_count = stats.per_flow_delivered
-        flow_count[flow] = flow_count.get(flow, 0) + consumed
-        return consumed
 
     def _start_service(self) -> None:
         now = self._clock._now

@@ -22,10 +22,6 @@ from .packet import Packet
 
 Handler = Callable[[Packet], None]
 
-#: Bulk run handler: ``(times, payloads, lo, hi) -> consumed`` (see the
-#: :class:`~repro.simcore.batched.Timeline` ``fire_many`` contract).
-BulkHandler = Callable[[list, list, int, int], int]
-
 
 class DuplexNetwork:
     """Forward media link + reverse feedback link with flow dispatch."""
@@ -45,7 +41,6 @@ class DuplexNetwork:
         self._scheduler = scheduler
         self._handlers_forward: dict[str, Handler] = {}
         self._handlers_reverse: dict[str, Handler] = {}
-        self._bulk_forward: dict[str, BulkHandler] = {}
         self._reverse_fault: Callable[[Packet], float | None] | None = None
         self.forward = Link(
             scheduler=scheduler,
@@ -71,21 +66,6 @@ class DuplexNetwork:
         if flow in self._handlers_forward:
             raise ConfigError(f"forward handler for {flow!r} already set")
         self._handlers_forward[flow] = handler
-
-    def on_forward_many(self, flow: str, handler: BulkHandler) -> None:
-        """Register a *bulk* receiver-side handler for a forward flow.
-
-        When the batched kernel's drain plan delivers a contiguous run
-        of packets for ``flow`` with no intervening control event, the
-        whole run is handed to ``handler`` in one call instead of one
-        dispatch per packet. The scalar handler registered with
-        :meth:`on_forward` stays authoritative — bulk handlers must be
-        observationally identical to it, packet for packet.
-        """
-        if flow in self._bulk_forward:
-            raise ConfigError(f"bulk forward handler for {flow!r} already set")
-        self._bulk_forward[flow] = handler
-        self.forward.set_deliver_many(self._forward_run)
 
     def on_reverse(self, flow: str, handler: Handler) -> None:
         """Register the sender-side handler for a reverse flow."""
@@ -135,18 +115,6 @@ class DuplexNetwork:
         handler = self._handlers_forward.get(packet.flow)
         if handler is not None:
             handler(packet)
-
-    def _forward_run(self, times, payloads, lo: int, hi: int) -> int:
-        """Dispatch the maximal same-flow prefix of an arrival run to
-        its bulk handler; ``0`` sends the head back to the scalar path."""
-        flow = payloads[lo].flow
-        handler = self._bulk_forward.get(flow)
-        if handler is None:
-            return 0
-        end = lo + 1
-        while end < hi and payloads[end].flow == flow:
-            end += 1
-        return handler(times, payloads, lo, end)
 
     def _on_reverse(self, packet: Packet) -> None:
         handler = self._handlers_reverse.get(packet.flow)

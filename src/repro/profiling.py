@@ -179,19 +179,8 @@ def pinned_config(
 
 
 def _handler_module(callback) -> str:
-    """Subsystem module a callback belongs to (``repro.`` stripped).
-
-    ``functools.partial`` has no ``__module__``, so the wrapped
-    callable is used; when that is a compiled twin from
-    ``repro._native`` the partial's bound instance decides instead, so
-    the census reads the same on both legs.
-    """
-    target = getattr(callback, "func", callback)
-    module = getattr(target, "__module__", None) or "<unknown>"
-    if module.startswith("repro._native"):
-        args = getattr(callback, "args", ())
-        if args:
-            module = type(args[0]).__module__
+    """Subsystem module a callback belongs to (``repro.`` stripped)."""
+    module = getattr(callback, "__module__", None) or "<unknown>"
     if module.startswith("repro."):
         module = module[len("repro."):]
     return module

@@ -84,25 +84,6 @@ class FeedbackCollector:
             self._highest_seq = seq
         self._received += 1
 
-    def on_packets(self, times, payloads, lo: int, hi: int) -> None:
-        """Record a contiguous arrival run (bulk fast lane).
-
-        State-identical to calling :meth:`on_packet` for each packet in
-        order — the records land in the same append order, and the
-        running max/count updates commute with batching.
-        """
-        pending = self._pending
-        append = pending.append
-        highest = self._highest_seq
-        for i in range(lo, hi):
-            packet = payloads[i]
-            seq = packet.seq
-            append(ArrivalRecord(seq, times[i], packet.size_bytes))
-            if seq > highest:
-                highest = seq
-        self._highest_seq = highest
-        self._received += hi - lo
-
     def build_report(self, now: float) -> FeedbackReport | None:
         """Flush pending arrivals into a report (``None`` if empty)."""
         if not self._pending:

@@ -146,8 +146,9 @@ class FrameAssembler:
         if seq == self._highest_seq + 1 and self._chain_intact:
             # Exactly-in-order packet with an intact chain: when at most
             # this packet's own frame is open, _detect_losses is provably
-            # a no-op (same predicate the insert_many fast path gates
-            # on), so only its scan-floor bookkeeping applies.
+            # a no-op (the only open frame extends past seq, and the gap
+            # scan covers exactly this received seq), so only its
+            # scan-floor bookkeeping applies.
             index = packet.frame_index
             open_frames = self._open
             record = self._frames.get(index)
@@ -219,89 +220,6 @@ class FrameAssembler:
             self._open.pop(record.index, None)
             return self._try_display(record, now)
         return None
-
-    def insert_many(self, times, payloads, lo: int, hi: int, clock) -> int:
-        """Insert a contiguous arrival run (bulk fast lane).
-
-        Observationally identical to calling :meth:`on_packet` per
-        packet in order. The fast path applies when a packet is exactly
-        in order (``seq == highest + 1``), the reference chain is
-        intact, and no *other* frame is still incomplete — then
-        :meth:`_detect_losses` is provably a no-op and is skipped, with
-        only its scan-floor bookkeeping applied. Everything else falls
-        back to the exact scalar insert.
-
-        Returns how many packets were consumed. The run is split (the
-        method returns early) immediately after any packet whose scalar
-        fallback emitted a PLI — a control event is then in flight and
-        the scheduler must re-merge — and *before* any FEC parity
-        packet, which belongs to the receiver's parity path (``0`` is
-        returned if the first packet is parity).
-        """
-        frames = self._frames
-        open_frames = self._open
-        received = self._received_seqs
-        i = lo
-        while i < hi:
-            packet = payloads[i]
-            payload = packet.payload
-            is_dict = isinstance(payload, dict)
-            if is_dict and payload.get("fec"):
-                break  # parity: the caller owns the scalar parity path
-            now = times[i]
-            clock._now = now
-            seq = packet.seq
-            if seq == self._highest_seq + 1 and self._chain_intact:
-                index = packet.frame_index
-                record = frames.get(index)
-                if record is None:
-                    if not open_frames:
-                        frame_type = "P"
-                        layer = 0
-                        if is_dict:
-                            frame_type = payload.get("frame_type", "P")
-                            layer = payload.get("temporal_layer", 0)
-                        record = FrameRecord(
-                            index=index,
-                            capture_time=packet.capture_time,
-                            packet_count=packet.frame_packet_count,
-                            frame_type=frame_type,
-                            temporal_layer=layer,
-                            base_seq=seq - packet.frame_packet_index,
-                        )
-                        frames[index] = record
-                        open_frames[index] = record
-                    # else: an older frame is still incomplete — the
-                    # next packet may confirm its loss; slow path.
-                elif len(open_frames) != 1 or index not in open_frames:
-                    record = None  # out-of-shape stream: slow path
-                if record is not None:
-                    position = packet.frame_packet_index
-                    if position not in record.positions:
-                        record.positions.add(position)
-                        record.received_packets += 1
-                        received.add(seq)
-                        self._highest_seq = seq
-                        # _detect_losses is a no-op here (the only open
-                        # frame extends past seq, and the gap scan
-                        # covers exactly this received seq); apply its
-                        # floor update directly.
-                        self._gap_scan_floor = seq + 1
-                        if record.received_packets == record.packet_count:
-                            record.complete_time = now
-                            del open_frames[index]
-                            # Chain intact, so display is pure (no PLI).
-                            self._try_display(record, now)
-                        i += 1
-                        continue
-            # Slow path: the exact scalar insert; split the run after it
-            # if a PLI went out (scheduling side effect).
-            pli_before = self.pli_sent
-            self.on_packet(packet, now)
-            i += 1
-            if self.pli_sent != pli_before:
-                break
-        return i - lo
 
     # ------------------------------------------------------------------
     def _try_display(self, record: FrameRecord, now: float) -> FrameRecord | None:

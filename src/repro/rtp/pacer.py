@@ -14,25 +14,11 @@ default, as in libwebrtc). Two reasons it exists here:
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Callable
 
-from .. import _native
 from ..errors import ConfigError
 from ..netsim.packet import Packet
 from ..simcore.scheduler import Scheduler
-
-#: Compiled twin of the lane release body (``repro._native``); rebound
-#: by :func:`repro._native.configure` for runtime leg toggling.
-_native_release = None
-
-
-def _apply_native(mod) -> None:
-    global _native_release
-    _native_release = getattr(mod, "pacer_release", None) if mod else None
-
-
-_native.register(_apply_native)
 
 
 class Pacer:
@@ -79,18 +65,7 @@ class Pacer:
         # allocation plus two heap sifts.
         self._lane = None
         if getattr(scheduler, "supports_batching", False):
-            # Fire is chosen at construction: the compiled twin when the
-            # native leg is active (partial-bound, called as
-            # fire(payload) → release(self, payload)), else the Python
-            # wrapper. Leg-correct because configure() runs before
-            # session construction.
-            release = _native_release
-            fire = (
-                self._lane_release
-                if release is None
-                else partial(release, self)
-            )
-            self._lane = scheduler.new_lane(fire, "pacer")
+            self._lane = scheduler.new_lane(self._lane_release, "pacer")
 
     # ------------------------------------------------------------------
     @property

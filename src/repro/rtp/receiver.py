@@ -81,12 +81,6 @@ class Receiver:
             scheduler, feedback_interval, self._send_feedback
         )
         network.on_forward(self._media_flow, self._on_media)
-        # Bulk fast lane: contiguous media runs from the link's drain
-        # plan are consumed in one call when the plain assembler is in
-        # charge. NACK and FEC receivers keep the exact per-packet path
-        # (their handlers schedule retransmit/recovery work mid-stream).
-        if self._nack_assembler is None and self.fec_decoder is None:
-            network.on_forward_many(self._media_flow, self._on_media_many)
         self.feedback_sent = 0
         self.nack_packets_sent = 0
 
@@ -122,30 +116,6 @@ class Receiver:
         if self.fec_decoder is not None:
             self.fec_decoder.on_media(packet)
         self._assemble(packet, now)
-
-    def _on_media_many(self, times, payloads, lo: int, hi: int) -> int:
-        """Consume a contiguous media-arrival run (bulk fast lane).
-
-        Equivalent to calling :meth:`_on_media` once per packet in
-        order: the jitter buffer consumes the run (splitting it at the
-        first point a decision could fire — see
-        :meth:`FrameAssembler.insert_many`), then TWCC accounting is
-        applied over the same consumed run. Deferring the feedback
-        accounting to after the frame-assembly pass is unobservable:
-        nothing fires between the run's entries, and neither side reads
-        the other's state.
-        """
-        clock = self._scheduler.clock
-        assert self.assembler is not None
-        consumed = self.assembler.insert_many(times, payloads, lo, hi, clock)
-        if consumed:
-            self.collector.on_packets(times, payloads, lo, lo + consumed)
-            return consumed
-        # Head packet needs the scalar path (FEC parity): one exact
-        # per-packet delivery, then let the scheduler re-merge.
-        clock._now = times[lo]
-        self._on_media(payloads[lo])
-        return 1
 
     def _on_parity(self, packet: Packet, now: float) -> None:
         if self.fec_decoder is None:

@@ -39,25 +39,10 @@ slice are exact even if no event forced a sync.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
 from typing import Callable
 
-from .. import _native
 from ..errors import SchedulingError
 from .scheduler import Scheduler, _INF
-
-#: Compiled twin of the merge loop (``repro._native``); rebound by
-#: :func:`repro._native.configure` so the compiled and pure legs can be
-#: toggled at runtime (``check_golden --compare-kernels`` does).
-_native_run_core = None
-
-
-def _apply_native(mod) -> None:
-    global _native_run_core
-    _native_run_core = getattr(mod, "run_core", None) if mod else None
-
-
-_native.register(_apply_native)
 
 #: Fired prefixes of a lane are trimmed once the cursor passes this many
 #: entries, keeping lane memory proportional to the pending window.
@@ -71,51 +56,20 @@ class Timeline:
     owning :class:`BatchedScheduler` fires heads in global time order by
     merging all lanes with its heap. ``fire(payload)`` is the single
     callback for every entry in the lane.
-
-    A lane may additionally provide ``fire_many(times, payloads, lo,
-    hi)`` — the *bulk fast lane*. When the scheduler finds a contiguous
-    run of lane entries that all precede the next heap event, every
-    other lane's head, and the run horizon, it hands the whole run to
-    ``fire_many`` in one call instead of firing entries one at a time.
-    The contract (gated by ``tools/check_golden.py --compare-kernels``
-    and the bulk-vs-scalar property tests):
-
-    * ``fire_many`` must be observationally identical to calling
-      ``fire`` once per entry in order — same end state, same telemetry,
-      same decisions;
-    * it advances ``scheduler.clock._now`` to each entry's time before
-      processing it (so any escape into the scheduler — a PLI send, a
-      reverse-link enqueue — sees the exact per-event clock);
-    * it returns the number of entries consumed (``1 <= n <= hi - lo``)
-      and must stop *immediately after* any entry whose processing had a
-      scheduling side effect (heap push or lane append): the scheduler
-      then re-merges, so a control event landing inside the run's time
-      span still fires at its exact position. This is the run-splitting
-      invariant that keeps the bulk path bit-identical.
     """
 
-    __slots__ = (
-        "times",
-        "payloads",
-        "cursor",
-        "fire",
-        "fire_many",
-        "label",
-        "_scheduler",
-    )
+    __slots__ = ("times", "payloads", "cursor", "fire", "label", "_scheduler")
 
     def __init__(
         self,
         scheduler: "BatchedScheduler",
         fire: Callable[[object], None],
         label: str = "",
-        fire_many: Callable[[list, list, int, int], int] | None = None,
     ) -> None:
         self.times: list[float] = []
         self.payloads: list[object] = []
         self.cursor = 0
         self.fire = fire
-        self.fire_many = fire_many
         self.label = label
         self._scheduler = scheduler
 
@@ -195,14 +149,10 @@ class BatchedScheduler(Scheduler):
         return sum(lane.pending for lane in self._lanes)
 
     def new_lane(
-        self,
-        fire: Callable[[object], None],
-        label: str = "",
-        fire_many: Callable[[list, list, int, int], int] | None = None,
+        self, fire: Callable[[object], None], label: str = ""
     ) -> Timeline:
-        """Register and return a new event lane (see :class:`Timeline`
-        for the optional bulk ``fire_many`` contract)."""
-        lane = Timeline(self, fire, label, fire_many)
+        """Register and return a new event lane (see :class:`Timeline`)."""
+        lane = Timeline(self, fire, label)
         self._lanes.append(lane)
         return lane
 
@@ -286,20 +236,62 @@ class BatchedScheduler(Scheduler):
         if self._running:
             raise SchedulingError("run_until called re-entrantly")
         self._running = True
+        heap = self._heap
+        lanes = self._lanes
         clock = self.clock
+        pop = heapq.heappop
         telemetry = self._telemetry
         track_depth = telemetry.enabled
         fired_before = self._events_fired
         lane_fired_before = self._lane_fired
-        max_depth = len(self._heap) - self._cancelled_pending
+        max_depth = len(heap) - self._cancelled_pending
         try:
-            run_core = _native_run_core
-            if run_core is not None:
-                max_depth = run_core(self, end_time, max_depth, track_depth)
-            else:
-                max_depth = self._merge_loop(
-                    end_time, track_depth, max_depth
-                )
+            while True:
+                # Inline cancelled-head sweep (hot path).
+                while heap:
+                    entry = heap[0]
+                    event = entry[3]
+                    if not event.cancelled:
+                        break
+                    pop(heap)
+                    event._scheduler = None
+                    self._cancelled_pending -= 1
+                t_heap = heap[0][0] if heap else _INF
+                t_lane = _INF
+                best = None
+                for lane in lanes:
+                    cursor = lane.cursor
+                    times = lane.times
+                    if cursor < len(times):
+                        time = times[cursor]
+                        if time < t_lane:
+                            t_lane = time
+                            best = lane
+                if t_heap <= t_lane:
+                    if t_heap > end_time or not heap:
+                        break
+                    entry = heap[0]
+                    pop(heap)
+                    event = entry[3]
+                    event._scheduler = None
+                    clock._now = t_heap
+                    self._events_fired += 1
+                    event.callback()
+                else:
+                    if t_lane > end_time:
+                        break
+                    index = best.cursor
+                    best.cursor = index + 1
+                    payload = best.payloads[index]
+                    best.payloads[index] = None
+                    clock._now = t_lane
+                    self._events_fired += 1
+                    self._lane_fired += 1
+                    best.fire(payload)
+                if track_depth:
+                    depth = len(heap) - self._cancelled_pending
+                    if depth > max_depth:
+                        max_depth = depth
             for finalizer in self._finalizers:
                 finalizer(end_time)
             if track_depth:
@@ -321,110 +313,13 @@ class BatchedScheduler(Scheduler):
         finally:
             self._running = False
 
-    def _merge_loop(
-        self, end_time: float, track_depth: bool, max_depth: int
-    ) -> int:
-        """The pure-Python merge loop (compiled twin:
-        ``repro._native._hotpath.run_core``). Returns the peak active
-        heap depth observed."""
-        heap = self._heap
-        lanes = self._lanes
-        clock = self.clock
-        pop = heapq.heappop
-        while True:
-            # Inline cancelled-head sweep (hot path).
-            while heap:
-                entry = heap[0]
-                event = entry[3]
-                if not event.cancelled:
-                    break
-                pop(heap)
-                event._scheduler = None
-                self._cancelled_pending -= 1
-            t_heap = heap[0][0] if heap else _INF
-            t_lane = _INF
-            best = None
-            for lane in lanes:
-                cursor = lane.cursor
-                times = lane.times
-                if cursor < len(times):
-                    time = times[cursor]
-                    if time < t_lane:
-                        t_lane = time
-                        best = lane
-            if t_heap <= t_lane:
-                if t_heap > end_time or not heap:
-                    break
-                entry = heap[0]
-                pop(heap)
-                event = entry[3]
-                event._scheduler = None
-                clock._now = t_heap
-                self._events_fired += 1
-                event.callback()
-            else:
-                if t_lane > end_time:
-                    break
-                index = best.cursor
-                fired = 0
-                fire_many = best.fire_many
-                if fire_many is not None:
-                    times = best.times
-                    # A run may not reach the next heap event or any
-                    # other lane's head (the heap wins exact ties,
-                    # and cross-lane ties keep the scalar order), so
-                    # both bounds are strict; only the horizon is
-                    # inclusive.
-                    strict = t_heap
-                    for lane in lanes:
-                        if lane is not best:
-                            cursor = lane.cursor
-                            lane_times = lane.times
-                            if cursor < len(lane_times):
-                                head = lane_times[cursor]
-                                if head < strict:
-                                    strict = head
-                    hi = bisect_right(times, end_time, index)
-                    if strict <= end_time:
-                        hi = bisect_left(times, strict, index, hi)
-                    if hi - index >= 2:
-                        fired = fire_many(
-                            times, best.payloads, index, hi
-                        )
-                        if not 1 <= fired <= hi - index:
-                            raise SchedulingError(
-                                f"lane {best.label!r}: fire_many "
-                                f"consumed {fired!r} of a "
-                                f"{hi - index}-entry run"
-                            )
-                        cursor = index + fired
-                        best.cursor = cursor
-                        best.payloads[index:cursor] = [None] * fired
-                        # fire_many advanced the clock per entry;
-                        # pin it to the last consumed time anyway so
-                        # a consumer bug cannot leave it behind.
-                        clock._now = times[cursor - 1]
-                        self._events_fired += fired
-                        self._lane_fired += fired
-                if not fired:
-                    best.cursor = index + 1
-                    payload = best.payloads[index]
-                    best.payloads[index] = None
-                    clock._now = t_lane
-                    self._events_fired += 1
-                    self._lane_fired += 1
-                    best.fire(payload)
-            if track_depth:
-                depth = len(heap) - self._cancelled_pending
-                if depth > max_depth:
-                    max_depth = depth
-        return max_depth
-
     def run(self) -> None:
-        """Run until heap and lanes are exhausted, then finalize at the
-        final clock (never-completing work — e.g. packets stuck behind a
-        dead link — stays pending, exactly as in the serial kernel)."""
+        """Run until heap and lanes are exhausted, then finalize with
+        ``inf``: each owner applies the deferred work the serial kernel
+        would still fire as events, advancing the clock to the last of
+        it (never-completing work — e.g. packets stuck behind a dead
+        link — stays pending, exactly as in the serial kernel)."""
         while self.step():
             pass
         for finalizer in self._finalizers:
-            finalizer(self.clock._now)
+            finalizer(_INF)

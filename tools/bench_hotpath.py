@@ -29,7 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro import _native  # noqa: E402
 from repro.experiments import scenarios  # noqa: E402
 from repro.pipeline.config import PolicyName, SessionConfig  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
@@ -64,19 +63,6 @@ def table1_configs() -> list[SessionConfig]:
 KERNELS = ("batched", "calendar", "heap")
 
 
-def matrix_legs() -> list[tuple[str, str, bool]]:
-    """``(label, kernel, compiled)`` rows: the three backends, plus the
-    compiled leg of the default kernel when the extension is built."""
-    legs = [(kernel, kernel, False) for kernel in KERNELS]
-    try:
-        from repro._native import _hotpath  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        legs.insert(0, ("batched+compiled", "batched", True))
-    return legs
-
-
 def run_once(
     configs: list[SessionConfig], kernel: str
 ) -> tuple[float, int]:
@@ -92,13 +78,9 @@ def run_once(
 
 
 def bench_kernel(
-    configs: list[SessionConfig],
-    kernel: str,
-    repeats: int,
-    label: str | None = None,
+    configs: list[SessionConfig], kernel: str, repeats: int
 ) -> tuple[float, int]:
     """Best-of-``repeats`` pass for one backend."""
-    label = label or kernel
     best_wall = float("inf")
     best_events = 0
     for index in range(repeats):
@@ -107,7 +89,7 @@ def bench_kernel(
         # benchmark or print an infinite rate.
         wall = max(wall, 1e-6)
         print(
-            f"  [{label}] pass {index + 1}: {wall:.3f}s "
+            f"  [{kernel}] pass {index + 1}: {wall:.3f}s "
             f"({len(configs) / wall:.2f} sessions/s, "
             f"{events / wall:,.0f} events/s)"
         )
@@ -129,32 +111,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     configs = table1_configs()
-    legs = matrix_legs()
     print(
         f"timing {len(configs)} sessions x {args.repeats} passes "
-        f"x {len(legs)} legs ..."
+        f"x {len(KERNELS)} kernels ..."
     )
     kernel_results: dict[str, dict[str, float | int]] = {}
-    try:
-        for label, kernel, compiled in legs:
-            _native.configure(enabled=compiled)
-            wall, events = bench_kernel(
-                configs, kernel, args.repeats, label=label
-            )
-            kernel_results[label] = {
-                "seconds": round(wall, 3),
-                "events_fired": events,
-                "events_per_sec": round(events / max(wall, 1e-6)),
-                "sessions_per_sec": round(
-                    len(configs) / max(wall, 1e-6), 2
-                ),
-            }
-    finally:
-        _native.configure()
+    for kernel in KERNELS:
+        wall, events = bench_kernel(configs, kernel, args.repeats)
+        kernel_results[kernel] = {
+            "seconds": round(wall, 3),
+            "events_fired": events,
+            "events_per_sec": round(events / max(wall, 1e-6)),
+            "sessions_per_sec": round(len(configs) / max(wall, 1e-6), 2),
+        }
 
-    # Headline leg: what `kernel=auto` actually runs on this machine —
-    # the compiled default kernel when the extension is built.
-    headline = legs[0][0]
+    # Headline: the default kernel, what `kernel=auto` runs.
+    headline = KERNELS[0]
     best_wall, best_events = (
         kernel_results[headline]["seconds"],
         kernel_results[headline]["events_fired"],
@@ -187,22 +159,15 @@ def main(argv: list[str] | None = None) -> int:
         "kernels": kernel_results,
         "golden_metrics_identical": True,
         "note": (
-            "Headline numbers are the leg `kernel=auto` runs on this "
-            "machine (the compiled default kernel when the extension "
-            "is built). The baseline was recorded on an earlier "
-            "container revision, so cross-machine speedups are "
-            "approximate; same-machine interleaved best-of-3 against "
-            "a PR-6 checkout measured baseline 5.650s / bulk+compiled "
-            "4.553s / bulk pure 5.545s (~1.24x, short of the 1.5x "
-            "target: the remaining wall time is app-level handler "
-            "bodies — encode, packetize, CC, feedback — not kernel "
-            "dispatch). All legs verified bit-identical by "
-            "tools/check_golden.py --compare-kernels, compiled leg "
-            "included (no tolerance changes). The batched kernel "
-            "eliminates ~80% of per-event heap traffic; the bulk "
-            "fast lane and compiled twins then attack the handler "
-            "bodies themselves (see the per-handler wall attribution "
-            "in 'repro-rtc profile')."
+            "Headline numbers are the default kernel, the one "
+            "`kernel=auto` runs. The baseline was recorded on an "
+            "earlier container revision, so cross-machine speedups "
+            "are approximate. All kernels are verified bit-identical "
+            "by tools/check_golden.py --compare-kernels (no tolerance "
+            "changes). The batched kernel eliminates ~80% of "
+            "per-event heap traffic; the remaining wall time is "
+            "app-level handler bodies (see the per-handler wall "
+            "attribution in 'repro-rtc profile')."
         ),
     }
     args.out.write_text(

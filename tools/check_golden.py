@@ -49,7 +49,6 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro import _native  # noqa: E402
 from repro.experiments import scenarios, table1  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.parallel import configure  # noqa: E402
@@ -137,66 +136,40 @@ def compare(golden: dict, fresh: dict, scale: float = 1.0) -> list[str]:
 KERNELS = ("heap", "calendar", "batched")
 
 
-def _kernel_legs() -> list[tuple[str, str, bool]]:
-    """(label, kernel, compiled) legs for ``--compare-kernels``.
-
-    The three pure-Python backends always run; when the compiled
-    extension is importable a fourth leg reruns the batched backend
-    with the compiled twins active, extending the byte-identity gate
-    across the C transcriptions.
-    """
-    legs = [(kernel, kernel, False) for kernel in KERNELS]
-    try:
-        from repro._native import _hotpath  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        legs.append(("batched+compiled", "batched", True))
-    return legs
-
-
 def compare_kernels(seeds: tuple[int, ...]) -> list[str]:
     """Byte-compare full session results across every kernel backend.
 
     Runs each golden Table-1 session (every ratio x seed x policy)
-    once per backend — plus a compiled-extension leg when the artifact
-    is built — and compares the complete ``to_dict()`` JSON and the
-    fired-event count against the heap reference. Returns failure
+    once per backend and compares the complete ``to_dict()`` JSON and
+    the fired-event count against the heap reference. Returns failure
     lines (empty = bit-identical everywhere).
     """
     failures: list[str] = []
-    legs = _kernel_legs()
-    try:
-        for ratio in scenarios.TABLE1_DROP_RATIOS:
-            for seed in seeds:
-                base = scenarios.step_drop_config(ratio, seed=seed)
-                for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-                    config = dataclasses.replace(base, policy=policy)
-                    reference = None
-                    ref_events = 0
-                    for label, kernel, compiled in legs:
-                        _native.configure(enabled=compiled)
-                        session = RtcSession(
-                            dataclasses.replace(config, kernel=kernel)
+    for ratio in scenarios.TABLE1_DROP_RATIOS:
+        for seed in seeds:
+            base = scenarios.step_drop_config(ratio, seed=seed)
+            for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
+                config = dataclasses.replace(base, policy=policy)
+                reference = None
+                ref_events = 0
+                for kernel in KERNELS:
+                    session = RtcSession(
+                        dataclasses.replace(config, kernel=kernel)
+                    )
+                    result = session.run()
+                    payload = json.dumps(result.to_dict(), sort_keys=True)
+                    events = session.scheduler.events_fired
+                    if reference is None:
+                        reference, ref_events = payload, events
+                        continue
+                    if payload != reference or events != ref_events:
+                        failures.append(
+                            f"ratio={ratio} seed={seed} "
+                            f"policy={policy.value}: kernel "
+                            f"'{kernel}' diverged from 'heap' "
+                            f"(bytes_equal={payload == reference}, "
+                            f"events {events} vs {ref_events})"
                         )
-                        result = session.run()
-                        payload = json.dumps(
-                            result.to_dict(), sort_keys=True
-                        )
-                        events = session.scheduler.events_fired
-                        if reference is None:
-                            reference, ref_events = payload, events
-                            continue
-                        if payload != reference or events != ref_events:
-                            failures.append(
-                                f"ratio={ratio} seed={seed} "
-                                f"policy={policy.value}: leg "
-                                f"'{label}' diverged from 'heap' "
-                                f"(bytes_equal={payload == reference}, "
-                                f"events {events} vs {ref_events})"
-                            )
-    finally:
-        _native.configure()  # restore the env-selected leg
     return failures
 
 
@@ -277,10 +250,9 @@ def main(argv: list[str] | None = None) -> int:
         total = (
             len(scenarios.TABLE1_DROP_RATIOS) * len(GOLDEN_SEEDS) * 2
         )
-        legs = tuple(label for label, _, _ in _kernel_legs())
         print(
             f"kernel compare OK: {total} sessions bit-identical "
-            f"across {legs}"
+            f"across {KERNELS}"
         )
         return 0
 

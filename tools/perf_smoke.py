@@ -34,16 +34,15 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro import _native  # noqa: E402
 from repro.experiments import scenarios  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
 from repro.profiling import profile_session  # noqa: E402
+from repro.simcore.backend import KERNELS  # noqa: E402
 
-#: The bulk fast lane sustains ~12 sessions/sec on the single-core
-#: reference container (BENCH_hotpath.json kernel matrix); 4.0 keeps
-#: ~3x headroom for slower CI runners while ratcheting in the
-#: fast-lane win over the pre-bulk floor of 3.0.
+#: The pinned batch runs at ~14 sessions/sec on the default kernel on a
+#: 2-vCPU x86-64 host with Python 3.11; 4.0 keeps over 3x headroom for
+#: slower CI runners.
 DEFAULT_FLOOR = 4.0
 
 #: Pinned batch: (policy, drop_ratio), seed 1, default 25s duration.
@@ -74,35 +73,20 @@ def run_batch(kernel: str = "auto") -> tuple[float, int]:
 
 
 def kernel_matrix() -> list[str]:
-    """Sessions/s for every kernel backend (and the compiled leg).
+    """Sessions/s for every kernel backend.
 
     Run on gate failure only: the matrix shows whether a regression is
     global (all rows slow — runner or handler-body problem) or confined
-    to one backend/leg, which is the first question a triage asks.
+    to one backend, which is the first question a triage asks.
     """
-    legs: list[tuple[str, str, bool]] = [
-        ("heap", "heap", False),
-        ("calendar", "calendar", False),
-        ("batched", "batched", False),
-    ]
-    try:
-        from repro._native import _hotpath  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        legs.append(("batched+compiled", "batched", True))
     rows = []
-    try:
-        for label, kernel, compiled in legs:
-            _native.configure(enabled=compiled)
-            wall, _ = run_batch(kernel=kernel)
-            wall = max(wall, 1e-6)
-            rows.append(
-                f"  {label:<18} {len(PINNED_SESSIONS) / wall:6.2f} "
-                "sessions/s"
-            )
-    finally:
-        _native.configure()
+    for kernel in KERNELS:
+        wall, _ = run_batch(kernel=kernel)
+        wall = max(wall, 1e-6)
+        rows.append(
+            f"  {kernel:<18} {len(PINNED_SESSIONS) / wall:6.2f} "
+            "sessions/s"
+        )
     return rows
 
 
