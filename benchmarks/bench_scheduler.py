@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simcore.backend import make_scheduler
 from repro.simcore.scheduler import Scheduler
-
-#: The three selectable kernels, compared head-to-head below.
-KERNELS = ("heap", "calendar", "batched")
 
 
 def _noop() -> None:
@@ -37,73 +33,6 @@ def test_bench_push_then_drain(benchmark, depth):
             call_at(i * 1e-4, _noop)
         scheduler.run()
         return scheduler.events_fired
-
-    assert benchmark(run) == depth
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("depth", [1_000, 10_000])
-def test_bench_kernel_push_then_drain(benchmark, kernel, depth):
-    """Head-to-head push + fire across the three kernel backends."""
-
-    def run():
-        scheduler = make_scheduler(kernel)
-        call_at = scheduler.call_at
-        for i in range(depth):
-            call_at(i * 1e-4, _noop)
-        scheduler.run()
-        return scheduler.events_fired
-
-    assert benchmark(run) == depth
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_bench_kernel_steady_state(benchmark, kernel):
-    """Head-to-head steady-state churn (the session shape) per kernel:
-    each firing replaces itself and arms one doomed timer."""
-    depth = 10_000
-
-    def run():
-        scheduler = make_scheduler(kernel)
-        call_at = scheduler.call_at
-
-        def tick(i: int) -> None:
-            if i > 0:
-                call_at(scheduler.now + 1e-3, lambda: tick(i - 1))
-            call_at(scheduler.now + 0.5, _noop).cancel()
-
-        for j in range(depth // 10):
-            call_at(j * 1e-5, lambda: tick(9))
-        scheduler.run()
-        return scheduler.events_fired
-
-    assert benchmark(run) == depth
-
-
-@pytest.mark.parametrize("kernel", ("batched",))
-def test_bench_lane_chain_throughput(benchmark, kernel):
-    """A pacer-style lane chain: each firing appends the next release.
-
-    This is the shape the batched kernel accelerates — compare against
-    ``test_bench_kernel_steady_state`` to see the per-event saving of a
-    list append over an Event allocation plus two heap sifts.
-    """
-    depth = 10_000
-
-    def run():
-        scheduler = make_scheduler(kernel)
-        remaining = [depth]
-        lane = None
-
-        def release(_payload) -> None:
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                lane.append(scheduler.now + 1e-4)
-
-        lane = scheduler.new_lane(release, "bench")
-        lane.append(0.0)
-        scheduler.run()
-        return depth - remaining[0]
 
     assert benchmark(run) == depth
 

@@ -128,8 +128,9 @@ class InterArrival:
         return samples
 
     def _add_one(self, result: PacketResult) -> DelaySample | None:
-        """Scalar reference for :meth:`add_packets` (kept for the
-        bulk-vs-scalar equivalence tests)."""
+        """Scalar reference for :meth:`add_packets`, one received
+        packet at a time; ``tests/property/test_prop_arrival_filter.py``
+        checks that both give the same samples and groups."""
         if self._current is None:
             self._current = _Group(
                 result.send_time,

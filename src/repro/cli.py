@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -86,7 +85,6 @@ from .pipeline.supervisor import (
     SupervisorPlan,
     SupervisorPolicy,
 )
-from .simcore.backend import KERNEL_ENV_VAR
 from .telemetry import export_text
 
 
@@ -700,14 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result cache location (default: $REPRO_CACHE_DIR or "
         "~/.cache/repro-rtc)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["auto", "heap", "calendar", "batched"],
-        default=None,
-        help="event-kernel backend for every session this invocation "
-        "runs (sets REPRO_KERNEL, so worker processes inherit it; "
-        "all backends are bit-identical — this is a speed knob)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -1338,11 +1328,6 @@ def main(argv: list[str] | None = None) -> int:
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(raw_argv)
-    if getattr(args, "kernel", None) and args.kernel != "auto":
-        # Sessions resolve "auto" through REPRO_KERNEL, and worker
-        # processes inherit the environment — one assignment covers
-        # serial and parallel paths alike.
-        os.environ[KERNEL_ENV_VAR] = args.kernel
     if args.command == "resume":
         try:
             return _resume(args.run_id)

@@ -98,15 +98,9 @@ class WindowedLoss(LossModel):
         self._storms = list(storms)
 
     def should_drop(self, packet: Packet) -> bool:
-        return self.should_drop_at(packet, self._clock._now)
-
-    def should_drop_at(self, packet: Packet, time: float) -> bool:
-        """Window membership from the explicit serialization-finish
-        ``time`` (not the clock), so the batched kernel's ahead-of-clock
-        drain planning picks the same model — and draws the same RNG
-        sequence — as the serial finish event would."""
+        now = self._clock._now
         for start, end, model in self._storms:
-            if start <= time < end:
+            if start <= now < end:
                 return model.should_drop(packet)
         return self._base.should_drop(packet)
 

@@ -41,9 +41,9 @@ from ..netsim.packet import Packet
 from ..rtp.feedback import FeedbackCollector, FeedbackReport
 from ..rtp.packetizer import Packetizer
 from ..sfu.node import SfuNode
-from ..simcore.backend import make_scheduler
 from ..simcore.process import PeriodicProcess
 from ..simcore.rng import RngStreams
+from ..simcore.scheduler import Scheduler
 from ..telemetry.recorder import NULL_TELEMETRY, Telemetry
 from ..traces.bandwidth import BandwidthTrace
 from ..traces.content import ContentTrace
@@ -147,7 +147,7 @@ class FleetSession:
     ) -> None:
         config.validate()
         self.config = config
-        self.scheduler = make_scheduler(config.kernel)
+        self.scheduler = Scheduler()
         self.rng = RngStreams(config.seed)
         self._telemetry = telemetry
 

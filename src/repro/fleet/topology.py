@@ -153,8 +153,6 @@ class FleetConfig:
         faulted_region: region the schedule applies to; ``None``
             applies it to every region.
         grace_period: extra simulated time after the last capture.
-        kernel: event-kernel backend (performance knob, excluded from
-            the cache key — all backends are bit-identical).
     """
 
     regions: tuple[RegionSpec, ...]
@@ -175,7 +173,6 @@ class FleetConfig:
     faults: FaultSchedule | None = None
     faulted_region: str | None = None
     grace_period: float = 1.0
-    kernel: str = "auto"
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -332,6 +329,5 @@ register_config_type(
     FleetConfig,
     run=_run_fleet,
     from_dict=_fleet_result_from_dict,
-    hash_exclude=("kernel",),
     cost=_fleet_cost,
 )

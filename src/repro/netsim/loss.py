@@ -21,20 +21,6 @@ class LossModel:
         """Return True to drop ``packet``."""
         raise NotImplementedError
 
-    def should_drop_at(self, packet: Packet, time: float) -> bool:
-        """Loss verdict for a packet whose serialization ends at ``time``.
-
-        The serial kernel evaluates loss when the finish event fires, so
-        ``should_drop`` implementations may read the clock; the batched
-        kernel decides the whole drain plan ahead of the clock and calls
-        this entry point with the explicit finish time instead. The
-        default delegates to :meth:`should_drop` — correct for every
-        model whose decision is time-independent (i.i.d., Gilbert–
-        Elliott: pure per-packet RNG draws in FIFO order). Models that
-        *do* consult the clock (``WindowedLoss``) must override it.
-        """
-        return self.should_drop(packet)
-
 
 class NoLoss(LossModel):
     """Lossless channel (queue overflow only)."""

@@ -119,11 +119,6 @@ class SessionConfig:
             session untouched — results are bit-identical to a build
             without the faults subsystem. Part of the cache key.
         grace_period: extra simulated time after the last capture.
-        kernel: event-kernel backend — "heap", "calendar", "batched",
-            or "auto" (the default: defer to ``REPRO_KERNEL`` /
-            the built-in default). All backends produce bit-identical
-            results (see ``docs/running-fast.md``), so this is a
-            performance knob, not a simulation parameter.
     """
 
     network: NetworkConfig
@@ -150,7 +145,6 @@ class SessionConfig:
     enable_telemetry: bool = False
     faults: FaultSchedule | None = None
     grace_period: float = 2.0
-    kernel: str = "auto"
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on any inconsistency."""
@@ -178,8 +172,3 @@ class SessionConfig:
         self.playout.validate()
         if self.faults is not None:
             self.faults.validate()
-        if self.kernel not in ("auto", "heap", "calendar", "batched"):
-            raise ConfigError(
-                "kernel must be 'auto', 'heap', 'calendar', or "
-                f"'batched', got {self.kernel!r}"
-            )

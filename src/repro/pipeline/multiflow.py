@@ -21,8 +21,8 @@ from ..errors import ConfigError
 from ..netsim.aqm import CoDelQueue
 from ..netsim.loss import IidLoss
 from ..netsim.network import DuplexNetwork
-from ..simcore.backend import make_scheduler
 from ..simcore.rng import RngStreams
+from ..simcore.scheduler import Scheduler
 from .config import PolicyName, SessionConfig
 from .flow import MediaFlow
 from .results import SessionResult
@@ -62,7 +62,7 @@ class MultiFlowSession:
         base_config.validate()
 
         self.config = base_config
-        self.scheduler = make_scheduler(base_config.kernel)
+        self.scheduler = Scheduler()
         self.rng = RngStreams(base_config.seed)
 
         net = base_config.network

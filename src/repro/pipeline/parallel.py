@@ -53,11 +53,16 @@ from .session import RtcSession
 #: now report active (non-cancelled) queue depth.
 #: v4: SessionConfig gained the ``faults`` schedule (part of the config
 #: hash) and capacity probes report the link's effective trace.
-#: v5: SessionConfig gained the ``kernel`` backend selector. It is
-#: *excluded* from the hash — every backend produces bit-identical
-#: results (enforced by the kernel-equivalence tests), so a result
-#: cached under one kernel is valid for all of them.
-CACHE_SCHEMA_VERSION = 5
+#: v5: SessionConfig gained the ``kernel`` backend selector, excluded
+#: from the hash.
+#: v6: one event kernel (the binary heap); the ``kernel`` field is
+#: gone. Fleet cells with exact-time ties change: the heap fires tied
+#: events in scheduling order, where the retired default kernel fired
+#: tied lane entries in lane-registration order and after every tied
+#: heap event. Traced telemetry's ``scheduler.queue_depth`` probe and
+#: ``scheduler.max_queue_depth`` gauge now count link and pacer events,
+#: and the scheduler's lane-event counter is gone.
+CACHE_SCHEMA_VERSION = 6
 
 
 # ----------------------------------------------------------------------
@@ -77,8 +82,6 @@ class ConfigTypeSpec:
         run: ``config -> result`` (the result must expose a lossless
             ``to_dict``; the round trip is the determinism contract).
         from_dict: ``payload -> result`` inverse of ``to_dict``.
-        hash_exclude: field names excluded from the cache key (pure
-            performance knobs that never change results).
         cost: optional ``config -> float`` estimating relative wall
             cost; the shard fabric's cost-weighted striping balances
             shards by it. Must be a pure function of the config (the
@@ -87,7 +90,6 @@ class ConfigTypeSpec:
 
     run: Callable[[object], object]
     from_dict: Callable[[dict], object]
-    hash_exclude: frozenset[str]
     cost: Callable[[object], float] | None = None
 
 
@@ -98,7 +100,6 @@ def register_config_type(
     config_cls: type,
     run: Callable[[object], object],
     from_dict: Callable[[dict], object],
-    hash_exclude: Iterable[str] = (),
     cost: Callable[[object], float] | None = None,
 ) -> None:
     """Register a runnable config class with the execution fabric.
@@ -110,7 +111,6 @@ def register_config_type(
     _CONFIG_TYPES[config_cls] = ConfigTypeSpec(
         run=run,
         from_dict=from_dict,
-        hash_exclude=frozenset(hash_exclude),
         cost=cost,
     )
 
@@ -162,18 +162,12 @@ def config_to_dict(value: object) -> object:
 
     Handles dataclasses, enums, :class:`BandwidthTrace` (encoded as its
     breakpoint list), tuples/lists, and scalars. The output is stable:
-    the same config always maps to the same structure. Registered
-    config types omit their ``hash_exclude`` fields (pure performance
-    knobs — e.g. ``kernel``, where all backends are bit-identical —
-    must not perturb the cache key).
+    the same config always maps to the same structure.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        spec = _CONFIG_TYPES.get(type(value))
-        exclude = spec.hash_exclude if spec is not None else frozenset()
         return {
             f.name: config_to_dict(getattr(value, f.name))
             for f in dataclasses.fields(value)
-            if f.name not in exclude
         }
     if isinstance(value, enum.Enum):
         return value.value
@@ -579,15 +573,11 @@ def _session_cost(config: SessionConfig) -> float:
     return float(config.duration) * (1.0 + faults)
 
 
-# ``kernel`` is excluded from the hash: every event-kernel backend is
-# bit-identical (enforced by the kernel-equivalence tests), so a result
-# cached under one kernel is valid for all of them. Other runnable
-# config types (e.g. ``repro.fleet.FleetConfig``) register themselves
-# in their defining modules.
+# Other runnable config types (e.g. ``repro.fleet.FleetConfig``)
+# register themselves in their defining modules.
 register_config_type(
     SessionConfig,
     run=_run_rtc_session,
     from_dict=SessionResult.from_dict,
-    hash_exclude=("kernel",),
     cost=_session_cost,
 )

@@ -18,8 +18,8 @@ from ..netsim.crosstraffic import CbrCrossTraffic
 from ..netsim.loss import IidLoss
 from ..netsim.network import DuplexNetwork
 from ..rtp.audio import AudioStream
-from ..simcore.backend import make_scheduler
 from ..simcore.rng import RngStreams
+from ..simcore.scheduler import Scheduler
 from ..telemetry.recorder import Telemetry
 from .config import SessionConfig
 from .flow import MediaFlow
@@ -53,7 +53,7 @@ class RtcSession:
         if telemetry is None and config.enable_telemetry:
             telemetry = Telemetry()
         self.telemetry = telemetry
-        self.scheduler = make_scheduler(config.kernel, telemetry=telemetry)
+        self.scheduler = Scheduler(telemetry=telemetry)
         self.rng = RngStreams(config.seed)
 
         net = config.network

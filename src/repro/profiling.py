@@ -9,8 +9,8 @@ The JSON schema (``SCHEMA_VERSION``):
 
 ```
 {
-  "schema": 3,
-  "session": {"policy", "drop_ratio", "duration", "seed", "kernel"},
+  "schema": 4,
+  "session": {"policy", "drop_ratio", "duration", "seed"},
   "perf": {"wall_seconds", "events_fired", "events_per_sec"},
   "totals": {"calls", "seconds"},
   "event_census": {"<subsystem module>": count, ...},
@@ -27,11 +27,7 @@ cumulative time buries leaf hot loops under their callers).
 ``event_census`` attributes every fired event to the subsystem module
 of its callback, and ``handler_wall`` attributes wall time to the same
 modules (a dedicated step-driven run, separate from the cProfile
-pass). Both are measured under the *profiled* kernel: every backend
-supports ``peek_callback``/``step``, and the batched kernel's elided
-link services (drain-plan bookkeeping that never becomes an event) are
-attributed to the link's module so the census stays comparable with
-the heap reference.
+pass).
 """
 
 from __future__ import annotations
@@ -47,13 +43,13 @@ from .errors import ConfigError
 from .experiments import scenarios
 from .pipeline.config import PolicyName, SessionConfig
 from .pipeline.session import RtcSession
-from .simcore.backend import resolve_kernel
 
 #: Bump when the JSON layout changes (consumers: CI artifact, tests).
 #: v2: session gained ``kernel``; top-level gained ``event_census``.
 #: v3: census measured under the profiled kernel (was heap-only);
 #: top-level gained ``handler_wall`` (per-handler wall-time table).
-SCHEMA_VERSION = 3
+#: v4: session lost ``kernel`` (there is one event kernel).
+SCHEMA_VERSION = 4
 
 #: Default number of hotspot rows reported.
 DEFAULT_TOP = 20
@@ -81,7 +77,6 @@ class ProfileReport:
     drop_ratio: float
     duration: float
     seed: int
-    kernel: str
     wall_seconds: float
     events_fired: int
     total_calls: int
@@ -107,7 +102,6 @@ class ProfileReport:
                 "drop_ratio": self.drop_ratio,
                 "duration": self.duration,
                 "seed": self.seed,
-                "kernel": self.kernel,
             },
             "perf": {
                 "wall_seconds": self.wall_seconds,
@@ -134,8 +128,7 @@ class ProfileReport:
         """Human-readable table of the hotspots."""
         lines = [
             f"profile: policy={self.policy} drop_ratio={self.drop_ratio} "
-            f"duration={self.duration}s seed={self.seed} "
-            f"kernel={self.kernel}",
+            f"duration={self.duration}s seed={self.seed}",
             f"wall: {self.wall_seconds:.3f}s  "
             f"events: {self.events_fired}  "
             f"({self.events_per_sec:,.0f} events/s)",
@@ -152,9 +145,7 @@ class ProfileReport:
         if self.event_census:
             walls = dict(self.handler_wall)
             lines.append("")
-            lines.append(
-                f"per-handler attribution ({self.kernel} kernel):"
-            )
+            lines.append("per-handler attribution:")
             lines.append(f"{'events':>9}  {'wall(s)':>8}  subsystem")
             for subsystem, count in self.event_census:
                 lines.append(
@@ -200,23 +191,11 @@ def handler_census(
     drop_ratio: float = 0.2,
     duration: float = 25.0,
     seed: int = 1,
-    kernel: str = "auto",
 ) -> tuple[HandlerCost, ...]:
     """Per-subsystem event counts and wall time for one pinned session.
 
-    Drives the session one event at a time under the requested kernel
-    backend (``"auto"`` resolves the session default) and attributes
-    each fired event — and the wall time of firing it — to its
-    callback's module. Works on every backend: all three expose
-    ``peek_callback``/``step``, and lane heads attribute to the lane's
-    ``fire`` target.
-
-    Under the batched kernel, link packet services are elided into
-    drain plans and never become events; the scheduler still counts
-    them in ``events_fired`` when plans are applied, and the census
-    attributes that excess to the link's module (``netsim.link``) so
-    totals stay comparable with the heap reference. Registered
-    finalizers are flushed at the horizon for the same reason.
+    Drives the session one event at a time and attributes each fired
+    event — and the wall time of firing it — to its callback's module.
 
     Wall times are *attribution*, not profiling: each step's elapsed
     time lands on the module of the event that fired, including any
@@ -224,42 +203,23 @@ def handler_census(
 
     Returns :class:`HandlerCost` rows sorted by descending event count.
     """
-    config = dataclasses.replace(
-        pinned_config(policy, drop_ratio, duration, seed),
-        kernel=resolve_kernel(kernel).value,
-    )
+    config = pinned_config(policy, drop_ratio, duration, seed)
     session = RtcSession(config)
     scheduler = session.scheduler
     end = config.duration + config.grace_period
     counts: dict[str, int] = {}
     seconds: dict[str, float] = {}
-    link_module = "netsim.link"
     perf_counter = time.perf_counter
     while True:
         head = scheduler.peek_time()
         if head is None or head > end:
             break
         module = _handler_module(scheduler.peek_callback())
-        fired_before = scheduler.events_fired
         began = perf_counter()
         scheduler.step()
         elapsed = perf_counter() - began
         counts[module] = counts.get(module, 0) + 1
         seconds[module] = seconds.get(module, 0.0) + elapsed
-        # Drain-plan services applied lazily during this step (batched
-        # kernel only) bump events_fired without a stepped event.
-        elided = scheduler.events_fired - fired_before - 1
-        if elided > 0:
-            counts[link_module] = counts.get(link_module, 0) + elided
-    fired_before = scheduler.events_fired
-    began = perf_counter()
-    for finalizer in getattr(scheduler, "_finalizers", ()):
-        finalizer(end)
-    elapsed = perf_counter() - began
-    elided = scheduler.events_fired - fired_before
-    if elided > 0:
-        counts[link_module] = counts.get(link_module, 0) + elided
-        seconds[link_module] = seconds.get(link_module, 0.0) + elapsed
     return tuple(
         HandlerCost(module, count, seconds.get(module, 0.0))
         for module, count in sorted(
@@ -273,7 +233,6 @@ def event_census(
     drop_ratio: float = 0.2,
     duration: float = 25.0,
     seed: int = 1,
-    kernel: str = "auto",
 ) -> tuple[tuple[str, int], ...]:
     """Per-subsystem event counts (see :func:`handler_census`).
 
@@ -281,7 +240,7 @@ def event_census(
     """
     return tuple(
         (cost.module, cost.events)
-        for cost in handler_census(policy, drop_ratio, duration, seed, kernel)
+        for cost in handler_census(policy, drop_ratio, duration, seed)
     )
 
 
@@ -345,16 +304,12 @@ def profile_session(
 
     perf = result.perf
     assert perf is not None  # sessions run inline always attach perf
-    kernel = resolve_kernel(config.kernel).value
-    census = handler_census(
-        policy, drop_ratio, duration, seed, kernel=kernel
-    )
+    census = handler_census(policy, drop_ratio, duration, seed)
     return ProfileReport(
         policy=policy,
         drop_ratio=drop_ratio,
         duration=duration,
         seed=seed,
-        kernel=kernel,
         wall_seconds=perf.wall_seconds,
         events_fired=perf.events_fired,
         total_calls=int(total_calls),

@@ -103,22 +103,19 @@ class FeedbackCollector:
 class SendHistory:
     """Sender-side record of in-flight packets for the TWCC join.
 
-    Entries are evicted once acknowledged or once ``max_age`` older than
-    the newest send, at which point unacked entries are reported lost.
+    An entry leaves the history when a report acks it, or when a later
+    report acks a higher sequence number and so reports it lost. There
+    is no age limit: an entry nothing acks past stays in flight.
     """
 
-    __slots__ = ("_entries", "_max_age", "_newest_send")
+    __slots__ = ("_entries",)
 
-    def __init__(self, max_age: float = 2.0) -> None:
+    def __init__(self) -> None:
         self._entries: dict[int, tuple[float, int]] = {}
-        self._max_age = max_age
-        self._newest_send = 0.0
 
     def on_sent(self, seq: int, send_time: float, size_bytes: int) -> None:
         """Record a packet leaving the pacer."""
         self._entries[seq] = (send_time, size_bytes)
-        if send_time > self._newest_send:
-            self._newest_send = send_time
 
     def resolve(self, report: FeedbackReport) -> list[PacketResult]:
         """Join a feedback report against the history.
@@ -135,7 +132,7 @@ class SendHistory:
             seq = record.seq
             entry = entries_pop(seq, None)
             if entry is None:
-                continue  # duplicate ack or evicted
+                continue  # duplicate ack, or already reported lost
             send_time, size_bytes = entry
             append(
                 PacketResult(seq, send_time, record.arrival_time, size_bytes)

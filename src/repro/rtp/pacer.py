@@ -32,7 +32,6 @@ class Pacer:
         "_queue",
         "_queue_bytes",
         "_sending",
-        "_lane",
         "sent_packets",
         "sent_bytes",
     )
@@ -57,15 +56,6 @@ class Pacer:
         self._sending = False
         self.sent_packets = 0
         self.sent_bytes = 0
-        # Under the batched kernel the release chain rides an event
-        # lane: each release appends the next release time — computed
-        # with the identical expression as the serial ``call_at`` path,
-        # at the same moment (so rate changes take effect at exactly the
-        # same releases) — but pays a list append instead of an Event
-        # allocation plus two heap sifts.
-        self._lane = None
-        if getattr(scheduler, "supports_batching", False):
-            self._lane = scheduler.new_lane(self._lane_release, "pacer")
 
     # ------------------------------------------------------------------
     @property
@@ -112,13 +102,7 @@ class Pacer:
     def _wake(self) -> None:
         if not self._sending and self._queue:
             self._sending = True
-            if self._lane is not None:
-                self._lane.append(self._scheduler.clock._now)
-            else:
-                self._scheduler.call_in(0.0, self._release_next)
-
-    def _lane_release(self, _payload: object) -> None:
-        self._release_next()
+            self._scheduler.call_in(0.0, self._release_next)
 
     def _release_next(self) -> None:
         if not self._queue:
@@ -133,8 +117,4 @@ class Pacer:
         self._send(packet)
         self.sent_packets += 1
         self.sent_bytes += size
-        gap = size * 8 / self._rate_bps
-        if self._lane is not None:
-            self._lane.append(now + gap)
-        else:
-            scheduler.call_at(now + gap, self._release_next)
+        scheduler.call_at(now + size * 8 / self._rate_bps, self._release_next)

@@ -35,8 +35,8 @@ from ..rtp.feedback import FeedbackCollector, FeedbackReport
 from ..rtp.jitterbuffer import FrameAssembler
 from ..rtp.packetizer import Packetizer
 from ..simcore.process import PeriodicProcess
-from ..simcore.backend import make_scheduler
 from ..simcore.rng import RngStreams
+from ..simcore.scheduler import Scheduler
 from ..traces.bandwidth import BandwidthTrace
 from ..traces.content import ContentTrace
 from ..units import mbps
@@ -90,7 +90,7 @@ class SimulcastSession:
     def __init__(self, config: SimulcastConfig) -> None:
         config.validate()
         self.config = config
-        self.scheduler = make_scheduler()
+        self.scheduler = Scheduler()
         self.rng = RngStreams(config.seed)
 
         video = config.video

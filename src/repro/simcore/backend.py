@@ -1,86 +1,23 @@
-"""Kernel backend selection for the event scheduler.
+"""The name of the event kernel, stamped on every benchmark run.
 
-Three interchangeable kernels drive the simulation (see
-``docs/running-fast.md``, "Kernel backends"):
-
-* ``heap`` — the binary-heap reference kernel. Golden semantics; every
-  other backend is gated on producing bit-identical trajectories.
-* ``calendar`` — calendar-queue storage (O(1) amortized insert/pop for
-  near-horizon events), same per-event dispatch.
-* ``batched`` — heap plus event lanes: link service and pacer release
-  chains are precomputed and fired through flat arrays instead of
-  per-event heap traffic. The default.
-
-Selection precedence (first hit wins):
-
-1. an explicit kernel name passed to :func:`make_scheduler` (e.g. from
-   ``SessionConfig.kernel``);
-2. the ``REPRO_KERNEL`` environment variable (set by the CLI's global
-   ``--kernel`` flag; inherited by worker processes);
-3. :data:`DEFAULT_KERNEL`.
+The simulator has one event kernel, the binary-heap
+:class:`~repro.simcore.scheduler.Scheduler`; components construct it
+directly. ``perfbench/run.py:environment()`` still stamps
+``resolve_kernel().value`` on every run, and the benchmark's files
+change only together with the benchmark.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-
-from ..errors import ConfigError
-from ..telemetry.recorder import Telemetry
-from .batched import BatchedScheduler
-from .calendar import CalendarScheduler
-from .scheduler import Scheduler
 
 
 class SchedulerBackend(enum.Enum):
-    """Selectable event-kernel implementations."""
+    """The one event kernel."""
 
     HEAP = "heap"
-    CALENDAR = "calendar"
-    BATCHED = "batched"
 
 
-#: Valid kernel names, including the "defer to environment" sentinel.
-KERNELS = tuple(backend.value for backend in SchedulerBackend)
-AUTO_KERNEL = "auto"
-
-#: Kernel used when neither config nor environment picks one.
-DEFAULT_KERNEL = SchedulerBackend.BATCHED.value
-
-#: Environment variable consulted for ``auto`` (set by ``--kernel``).
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-_BACKEND_CLASSES = {
-    SchedulerBackend.HEAP: Scheduler,
-    SchedulerBackend.CALENDAR: CalendarScheduler,
-    SchedulerBackend.BATCHED: BatchedScheduler,
-}
-
-
-def resolve_kernel(kernel: str = AUTO_KERNEL) -> SchedulerBackend:
-    """Resolve a kernel name (or ``auto``) to a backend.
-
-    Raises:
-        ConfigError: on an unknown kernel name (including one smuggled
-            in via ``REPRO_KERNEL``).
-    """
-    name = kernel
-    if name == AUTO_KERNEL:
-        name = os.environ.get(KERNEL_ENV_VAR, "") or DEFAULT_KERNEL
-    try:
-        return SchedulerBackend(name)
-    except ValueError:
-        raise ConfigError(
-            f"unknown scheduler kernel {name!r}; "
-            f"expected one of {(AUTO_KERNEL,) + KERNELS}"
-        ) from None
-
-
-def make_scheduler(
-    kernel: str = AUTO_KERNEL,
-    start: float = 0.0,
-    telemetry: Telemetry | None = None,
-) -> Scheduler:
-    """Construct the scheduler for the chosen (or environment) kernel."""
-    backend = resolve_kernel(kernel)
-    return _BACKEND_CLASSES[backend](start=start, telemetry=telemetry)
+def resolve_kernel() -> SchedulerBackend:
+    """The event kernel every session runs."""
+    return SchedulerBackend.HEAP

@@ -70,11 +70,6 @@ class Scheduler:
     COMPACT_MIN = 64
     COMPACT_FRACTION = 0.25
 
-    #: Whether this kernel offers event lanes / sync finalizers (see
-    #: :class:`~repro.simcore.batched.BatchedScheduler`). Components
-    #: check this to decide between per-event and batched code paths.
-    supports_batching = False
-
     def __init__(
         self, start: float = 0.0, telemetry: Telemetry | None = None
     ) -> None:

@@ -73,26 +73,6 @@ class BandwidthTrace:
             return None
         return self._times[index]
 
-    def segment_at(self, time: float) -> tuple[float, float, float]:
-        """The constant-rate span covering ``time``: ``(lo, hi, rate)``.
-
-        ``rate`` holds for every ``t`` with ``lo <= t < hi`` (consistent
-        with :meth:`rate_at`, so times before the first breakpoint map
-        to ``lo = -inf``); ``hi`` is ``inf`` on the last segment. One
-        bisect — callers cache the result to skip per-packet lookups.
-        """
-        index = bisect.bisect_right(self._times, time) - 1
-        if index < 0:
-            lo = float("-inf")
-            index = 0
-        else:
-            lo = self._times[index]
-        if index + 1 < len(self._times):
-            hi = self._times[index + 1]
-        else:
-            hi = float("inf")
-        return (lo, hi, self._rates[index])
-
     def segments(self) -> list[Segment]:
         """The trace as explicit segments; the last ``end`` is ``inf``."""
         out = []

@@ -1,10 +1,10 @@
 """Byte-identity pins for the paths the golden gate never runs.
 
 ``golden_metrics.json`` covers only the Table-1 cells, which run no
-NACK, FEC, playout, CoDel or SFU code. These two pins cover them: the
-sha256 of ``to_dict()`` for a short impaired session and for a small
-two-region fleet. A pure speed-up of those paths must leave both
-digests untouched.
+NACK, FEC, playout, CoDel or SFU code. These pins cover them: the
+sha256 of ``to_dict()`` for a short impaired session, for a small
+two-region fleet, and for one cell of the fleet grid. A pure speed-up
+of those paths must leave every digest untouched.
 
 Regenerating after an *intended* behaviour change: run this file with
 ``PYTHONPATH=src python -m pytest -q tests/integration/test_result_digests.py``,
@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 
-from repro.experiments import robustness, scenarios
+from repro.experiments import fleet, robustness, scenarios
 from repro.fleet import FleetSession, two_region_fleet
 from repro.pipeline.config import PolicyName
 from repro.pipeline.session import RtcSession
@@ -28,6 +28,9 @@ IMPAIRED_SESSION_SHA256 = (
 )
 TWO_REGION_FLEET_SHA256 = (
     "9aa179f42b63721421d62631029e06c1f176cb6621efdd0d72c7a105c8fbaa18"
+)
+STEADY_FLEET_CELL_SHA256 = (
+    "962f6e27b2a0277e893e8f9938ba46d868521151cb51bddc3adcd409a897069f"
 )
 
 
@@ -75,3 +78,16 @@ def test_two_region_fleet_digest_is_pinned():
     result = FleetSession(config).run()
     assert result.totals["forwarded_packets"] > 0
     assert _digest(result.to_dict()) == TWO_REGION_FLEET_SHA256
+
+
+def test_steady_fleet_cell_digest_is_pinned():
+    """Identical publisher uplinks deliver packets at the same float
+    time, so this cell is full of exact-time event ties. The event
+    kernel fires tied events in the order they were scheduled; this
+    pin holds that tie rule."""
+    config = fleet.plan_batch(
+        ("steady",), seeds=(1,), subscribers=40, duration=4.0
+    )[0]
+    result = FleetSession(config).run()
+    assert result.totals["forwarded_packets"] > 0
+    assert _digest(result.to_dict()) == STEADY_FLEET_CELL_SHA256

@@ -1,12 +1,12 @@
-"""Property tests: the calendar kernel is observationally identical to
-the heap reference under arbitrary event streams.
+"""Property tests: ``CalendarScheduler`` is observationally the heap.
 
-Random programs of inserts, cancels, reschedules (cancel + re-insert),
-ties (shared times/priorities), and partial ``run_until`` horizons are
-replayed against both backends; every observable — firing order, clock
-trajectory, event/pending/cancellation counters, peeked times — must
-match exactly. This is the executable form of the bit-identity contract
-in ``docs/running-fast.md``.
+The calendar-queue kernel is retired; its name survives as an empty
+:class:`Scheduler` subclass that the benchmark's tracer imports and
+wraps. Random programs of inserts, cancels, ties (shared
+times/priorities), steps, peeks and partial ``run_until`` horizons
+are replayed on both classes; every observable (firing order, clock
+trajectory, event/pending/cancellation counters, peeked times) must
+match exactly, so a run traced under that name runs the heap kernel.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def test_calendar_matches_heap_on_random_programs(ops):
 )
 @settings(max_examples=100)
 def test_calendar_breaks_ties_exactly_like_heap(times, priorities):
-    """Heavy time collisions: ordering must fall back to (priority,
-    insertion sequence) identically in both kernels."""
+    """Heavy time collisions: ordering falls back to (priority,
+    scheduling order) on both classes."""
 
     def run(scheduler):
         fired = []
@@ -122,7 +122,7 @@ def test_calendar_matches_heap_with_reentrant_scheduling(seed_times):
         def chain(depth, label):
             fired.append((label, scheduler.now))
             if depth > 0:
-                handle = scheduler.call_at(
+                scheduler.call_at(
                     scheduler.now + 0.25, lambda: chain(depth - 1, label)
                 )
                 if depth % 2:
@@ -130,7 +130,7 @@ def test_calendar_matches_heap_with_reentrant_scheduling(seed_times):
                         scheduler.now + 0.125, lambda: fired.append("x")
                     )
                     doomed.cancel()
-                    del handle
+
         for index, time in enumerate(seed_times):
             scheduler.call_at(time, lambda i=index: chain(3, i))
         scheduler.run()

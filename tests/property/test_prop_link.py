@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from repro.netsim.link import Link, service_end_time
 from repro.netsim.loss import IidLoss
 from repro.netsim.packet import Packet
-from repro.simcore.backend import KERNELS, make_scheduler
 from repro.simcore.rng import RngStreams
 from repro.simcore.scheduler import Scheduler
 from repro.traces.bandwidth import BandwidthTrace
 
 
-def _run_link(kernel, sizes, trace, queue, loss_p, seed):
-    """Offer ``sizes`` at t=0 to a lossy link on ``kernel`` and run the
-    scheduler dry; returns the link, its deliveries, the accepted count
-    and the scheduler."""
-    scheduler = make_scheduler(kernel)
+def _run_link(sizes, trace, queue, loss_p, seed):
+    """Offer ``sizes`` at t=0 to a lossy link and run the scheduler
+    dry; returns the link, its deliveries, the accepted count and the
+    scheduler."""
+    scheduler = Scheduler()
     delivered = []
     link = Link(
         scheduler,
@@ -37,16 +36,6 @@ def _run_link(kernel, sizes, trace, queue, loss_p, seed):
     return link, delivered, accepted, scheduler
 
 
-def _outcome(link, delivered, scheduler):
-    return (
-        [(p.seq, p.arrival_time) for p in delivered],
-        link.stats.channel_lost_packets,
-        link.queue.backlog_bytes,
-        scheduler.now,
-        scheduler.events_fired,
-    )
-
-
 @given(
     sizes=st.lists(
         st.integers(min_value=64, max_value=1500), min_size=1, max_size=60
@@ -58,19 +47,17 @@ def _outcome(link, delivered, scheduler):
 )
 @settings(max_examples=80)
 def test_packets_conserved(sizes, rate, queue, loss_p, seed):
-    """On every kernel: accepted = delivered + channel-lost; rejected =
-    counted; and every kernel delivers the same packets at the same
-    times, ending on the same clock and event count."""
-    outcomes = {}
-    for kernel in KERNELS:
-        link, delivered, accepted, scheduler = _run_link(
-            kernel, sizes, BandwidthTrace.constant(rate), queue, loss_p, seed
-        )
-        assert accepted == len(delivered) + link.stats.channel_lost_packets
-        assert link.stats.delivered_packets == len(delivered)
-        assert link.queue.dropped_packets == len(sizes) - accepted
-        outcomes[kernel] = _outcome(link, delivered, scheduler)
-    assert all(o == outcomes["heap"] for o in outcomes.values())
+    """accepted = delivered + channel-lost; rejected = counted; the
+    queue ends empty; and every accepted packet fired one service-end
+    event and every delivered one an arrival event."""
+    link, delivered, accepted, scheduler = _run_link(
+        sizes, BandwidthTrace.constant(rate), queue, loss_p, seed
+    )
+    assert accepted == len(delivered) + link.stats.channel_lost_packets
+    assert link.stats.delivered_packets == len(delivered)
+    assert link.queue.dropped_packets == len(sizes) - accepted
+    assert link.queue.backlog_bytes == 0
+    assert scheduler.events_fired == accepted + len(delivered)
 
 
 @given(
@@ -82,17 +69,21 @@ def test_packets_conserved(sizes, rate, queue, loss_p, seed):
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=60)
-def test_dead_tail_matches_across_kernels(sizes, dead_at, loss_p, seed):
-    """Capacity drops to zero for good: packets behind the stalled one
-    stay queued, and every kernel agrees on what got through."""
+def test_dead_tail_conserves_packets(sizes, dead_at, loss_p, seed):
+    """Capacity drops to zero for good: the packet in service stalls
+    and everything behind it stays queued. Every accepted packet is
+    delivered, channel-lost, stalled in service or still queued."""
     trace = BandwidthTrace([(0.0, 1e6), (dead_at, 0.0)])
-    outcomes = {}
-    for kernel in KERNELS:
-        link, delivered, _, scheduler = _run_link(
-            kernel, sizes, trace, 10**9, loss_p, seed
-        )
-        outcomes[kernel] = _outcome(link, delivered, scheduler)
-    assert all(o == outcomes["heap"] for o in outcomes.values())
+    link, delivered, accepted, scheduler = _run_link(
+        sizes, trace, 10**9, loss_p, seed
+    )
+    served = len(delivered) + link.stats.channel_lost_packets
+    stalled = accepted - served - link.queue.backlog_packets
+    assert stalled == int(link._busy)
+    if link.queue.backlog_packets:
+        assert stalled == 1
+    assert all(p.arrival_time <= dead_at + 0.01 + 1e-9 for p in delivered)
+    assert scheduler.events_fired == served + len(delivered)
 
 
 @given(

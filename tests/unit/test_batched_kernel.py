@@ -1,119 +1,30 @@
-"""The batched kernel: event lanes, finalizers, and the link fast path.
+"""``BatchedScheduler``: the heap kernel under a retired kernel's name.
 
-The batched backend is the heap scheduler plus "lanes" — flat arrays of
-precomputed fire times that the run loop merges against the heap — and
-a drain *plan* inside :class:`~repro.netsim.link.Link` that replaces
-per-packet service events. These tests pin the lane mechanics and the
-places the fast path must hand back to the slow path (CoDel, dead
-links), plus end-to-end equivalence with the serial link.
+The lane kernel is gone, and with it the link's drain plan: on every
+scheduler the link fires one service-end event per accepted packet and
+one arrival event per delivered packet. :mod:`repro.simcore.batched`
+keeps ``BatchedScheduler`` as an empty :class:`Scheduler` subclass
+because the benchmark's tracer imports it and wraps its ``run_until``.
+These tests keep the lane kernel's link scenarios (drain, overflow, a
+dead span, CoDel, backlog observers) and check that a link driven by
+that class behaves exactly as on the heap.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 from repro.netsim.aqm import CoDelQueue
 from repro.netsim.link import Link
 from repro.netsim.packet import Packet
-from repro.simcore.batched import _TRIM_THRESHOLD, BatchedScheduler
+from repro.simcore.batched import BatchedScheduler
 from repro.simcore.scheduler import Scheduler
 from repro.traces.bandwidth import BandwidthTrace
 
 
 def _packet(seq: int, size: int = 1200) -> Packet:
     return Packet(size_bytes=size, flow="f", seq=seq, send_time=0.0)
-
-
-def test_lane_merges_with_heap_in_time_order():
-    scheduler = BatchedScheduler()
-    fired = []
-    lane = scheduler.new_lane(
-        lambda payload: fired.append(("lane", payload, scheduler.now)),
-        "test",
-    )
-    scheduler.call_at(1.0, lambda: fired.append(("heap", scheduler.now)))
-    scheduler.call_at(3.0, lambda: fired.append(("heap", scheduler.now)))
-    lane.append(0.5, "a")
-    lane.append(2.0, "b")
-    lane.append(4.0, "c")
-    scheduler.run()
-    assert fired == [
-        ("lane", "a", 0.5),
-        ("heap", 1.0),
-        ("lane", "b", 2.0),
-        ("heap", 3.0),
-        ("lane", "c", 4.0),
-    ]
-    assert scheduler.events_fired == 5
-    assert scheduler.lane_events_fired == 3
-
-
-def test_heap_fires_before_lane_on_exact_tie():
-    """At an exact time tie the heap event wins — it models an event
-    scheduled *before* the lane entry (lane entries appended by a
-    callback at time t would carry a larger sequence number)."""
-    scheduler = BatchedScheduler()
-    fired = []
-    lane = scheduler.new_lane(lambda _: fired.append("lane"), "test")
-    scheduler.call_at(1.0, lambda: fired.append("heap"))
-    lane.append(1.0)
-    scheduler.run()
-    assert fired == ["heap", "lane"]
-
-
-def test_lane_appends_must_be_nondecreasing():
-    scheduler = BatchedScheduler()
-    lane = scheduler.new_lane(lambda _: None, "test")
-    lane.append(5.0)
-    with pytest.raises(SchedulingError):
-        lane.append(4.0)
-
-
-def test_lane_rejects_past_times():
-    scheduler = BatchedScheduler()
-    lane = scheduler.new_lane(lambda _: None, "test")
-    scheduler.call_at(2.0, lambda: None)
-    scheduler.run()
-    with pytest.raises(SchedulingError):
-        lane.append(1.0)
-
-
-def test_run_until_respects_horizon_for_lanes():
-    scheduler = BatchedScheduler()
-    fired = []
-    lane = scheduler.new_lane(lambda p: fired.append(p), "test")
-    lane.append(1.0, 1)
-    lane.append(2.0, 2)
-    lane.append(3.0, 3)
-    scheduler.run_until(2.5)
-    assert fired == [1, 2]
-    assert scheduler.now == 2.5
-    assert lane.pending == 1
-    scheduler.run_until(10.0)
-    assert fired == [1, 2, 3]
-    assert lane.pending == 0
-
-
-def test_finalizers_run_at_slice_end():
-    scheduler = BatchedScheduler()
-    seen = []
-    scheduler.add_finalizer(lambda end: seen.append(end))
-    scheduler.call_at(1.0, lambda: None)
-    scheduler.run_until(5.0)
-    assert seen == [5.0]
-
-
-def test_timeline_trims_after_drain():
-    scheduler = BatchedScheduler()
-    lane = scheduler.new_lane(lambda _: None, "test")
-    for i in range(_TRIM_THRESHOLD + 10):
-        lane.append(i * 1e-4)
-    scheduler.run()
-    # One more append triggers the trim of the drained prefix.
-    lane.append(scheduler.now + 1.0)
-    assert lane.cursor == 0
-    assert len(lane.times) == 1
 
 
 def test_reentrant_run_raises():
@@ -124,7 +35,7 @@ def test_reentrant_run_raises():
 
 
 # ----------------------------------------------------------------------
-# Link fast-path behaviour
+# Link behaviour
 # ----------------------------------------------------------------------
 def _drain(scheduler, link, packets, until=10.0):
     for packet in packets:
@@ -181,24 +92,43 @@ def test_batched_link_overflow_matches_serial():
 
 
 def test_codel_queue_disables_link_batching():
-    scheduler = BatchedScheduler()
-    delivered = []
-    link = _mk_link(scheduler, delivered, queue=CoDelQueue(50_000))
-    assert link._batched is False
-    # And the slow path still works end to end.
-    _drain(scheduler, link, [_packet(i) for i in range(5)])
-    assert [p.seq for p in delivered] == list(range(5))
+    """A CoDel link delivers in order with one service-end and one
+    arrival event per packet, on this class as on the heap."""
+
+    def run(factory):
+        scheduler = factory()
+        delivered = []
+        link = _mk_link(scheduler, delivered, queue=CoDelQueue(50_000))
+        _drain(scheduler, link, [_packet(i) for i in range(5)])
+        return (
+            [p.seq for p in delivered],
+            [p.arrival_time for p in delivered],
+            scheduler.events_fired,
+        )
+
+    outcome = run(BatchedScheduler)
+    assert outcome == run(Scheduler)
+    assert outcome[0] == list(range(5))
+    assert outcome[2] == 2 * 5
 
 
 def test_heap_scheduler_link_never_batches():
+    """Every accepted packet costs the heap one service-end event and
+    every delivered packet one arrival event."""
     scheduler = Scheduler()
-    link = _mk_link(scheduler, [])
-    assert link._batched is False
+    delivered = []
+    link = _mk_link(scheduler, delivered)
+    packets = [_packet(i) for i in range(50)]
+    _drain(scheduler, link, packets)
+    accepted = len(packets) - link.queue.dropped_packets
+    assert link.queue.dropped_packets > 0
+    assert len(delivered) == accepted
+    assert scheduler.events_fired == accepted + len(delivered)
 
 
 def test_dead_link_stalls_plan_like_serial():
     """A zero-capacity span holds the in-service packet (and everything
-    behind it) exactly as the serial permanently-busy link does."""
+    behind it) on this class exactly as on the heap."""
 
     def run(factory):
         scheduler = factory()
@@ -224,6 +154,8 @@ def test_dead_link_stalls_plan_like_serial():
 
 
 def test_backlog_observers_sync_the_plan():
+    """The backlog and queue-delay observers follow the queue as it
+    drains."""
     scheduler = BatchedScheduler()
     link = _mk_link(scheduler, [], rate_bps=1e5)
     for i in range(10):

@@ -1,4 +1,4 @@
-"""FleetConfig validation, hashing, and execution-fabric dispatch."""
+"""FleetConfig validation and execution-fabric dispatch."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.fleet import (
     two_region_fleet,
 )
 from repro.pipeline.parallel import (
-    config_hash,
     config_type_spec,
     result_from_dict,
     run_config,
@@ -74,18 +73,9 @@ def test_validate_rejects_duplicate_regions_and_links():
         InterNodeLink(src="a", dst="a", capacity_bps=1e6).validate()
 
 
-def test_config_hash_excludes_kernel_only():
-    base = _tiny_fleet()
-    rekernel = dataclasses.replace(base, kernel="calendar")
-    reseed = dataclasses.replace(base, seed=base.seed + 1)
-    assert config_hash(base) == config_hash(rekernel)
-    assert config_hash(base) != config_hash(reseed)
-
-
 def test_registry_dispatch_runs_fleet_and_rehydrates():
     config = _tiny_fleet()
-    spec = config_type_spec(config)
-    assert set(spec.hash_exclude) == {"kernel"}
+    assert config_type_spec(config).cost(config) > 0
     result = run_config(config)
     assert isinstance(result, FleetResult)
     assert result.subscribers == 4

@@ -8,11 +8,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ConfigError
-from repro.simcore.backend import resolve_kernel
 from repro.profiling import (
     DEFAULT_TOP,
     SCHEMA_VERSION,
-    handler_census,
     pinned_config,
     profile_session,
 )
@@ -45,7 +43,6 @@ def test_profile_report_json_schema():
         "drop_ratio": 0.2,
         "duration": 3.0,
         "seed": 2,
-        "kernel": resolve_kernel().value,
     }
     census = payload["event_census"]
     assert census and all(
@@ -78,25 +75,6 @@ def test_profile_report_json_schema():
     assert set(wall) == set(census)
     assert all(seconds >= 0.0 for seconds in wall.values())
     assert sum(wall.values()) > 0
-
-
-def test_handler_census_kernel_parity():
-    """The census works under every backend and counts the same events
-    per subsystem — the batched kernel's elided link services included."""
-    rows = {
-        kernel: handler_census(
-            policy="webrtc", duration=2.0, seed=3, kernel=kernel
-        )
-        for kernel in ("heap", "calendar", "batched")
-    }
-    counts = {
-        kernel: {cost.module: cost.events for cost in census}
-        for kernel, census in rows.items()
-    }
-    assert counts["heap"] == counts["calendar"] == counts["batched"]
-    assert any(name.startswith("netsim.") for name in counts["heap"])
-    for census in rows.values():
-        assert all(cost.seconds >= 0.0 for cost in census)
 
 
 def test_profile_report_cumtime_sort():

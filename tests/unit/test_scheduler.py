@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import SchedulingError, SimulationError
 from repro.simcore.clock import Clock
+from repro.simcore.scheduler import Scheduler
+from repro.telemetry.recorder import Telemetry
 
 
 def test_events_fire_in_time_order(scheduler):
@@ -132,3 +134,65 @@ def test_clock_never_rewinds():
     clock.advance_to(5.0)
     with pytest.raises(SimulationError):
         clock.advance_to(4.0)
+
+
+def test_priority_then_scheduling_order_breaks_ties(scheduler):
+    fired = []
+    scheduler.call_at(1.0, lambda: fired.append("low"), priority=5)
+    scheduler.call_at(1.0, lambda: fired.append("high"), priority=-5)
+    scheduler.call_at(1.0, lambda: fired.append("first"))
+    scheduler.call_at(1.0, lambda: fired.append("second"))
+    scheduler.run()
+    assert fired == ["high", "first", "second", "low"]
+
+
+def test_event_scheduled_at_now_fires_before_later_events(scheduler):
+    fired = []
+
+    def late():
+        fired.append("late")
+        scheduler.call_at(scheduler.now, lambda: fired.append("now"))
+        scheduler.call_at(
+            scheduler.now + 0.0001, lambda: fired.append("soon")
+        )
+
+    scheduler.call_at(10.0, late)
+    scheduler.call_at(11.0, lambda: fired.append("after"))
+    scheduler.run()
+    assert fired == ["late", "now", "soon", "after"]
+
+
+def test_run_stops_clock_at_last_event(scheduler):
+    for time in (2.0, 1.0, 3.0):
+        scheduler.call_at(time, lambda: None)
+    scheduler.run()
+    assert scheduler.now == 3.0
+    assert scheduler.events_fired == 3
+
+
+def test_partial_run_leaves_exact_diagnostics(scheduler):
+    """Cancelled entries beyond the horizon stay queued, counted as
+    cancelled, until they reach the head."""
+    handles = [scheduler.call_at(float(i), lambda: None) for i in range(10)]
+    handles[7].cancel()
+    handles[9].cancel()
+    scheduler.run_until(4.5)
+    assert scheduler.now == 4.5
+    assert scheduler.events_fired == 5
+    assert scheduler.pending == 5
+    assert scheduler.pending_active == 3
+    assert scheduler.cancelled_pending == 2
+    assert scheduler.peek_time() == 5.0
+
+
+def test_run_until_reports_telemetry():
+    telemetry = Telemetry()
+    scheduler = Scheduler(telemetry=telemetry)
+    for i in range(20):
+        scheduler.call_at(i * 0.1, lambda: None)
+    scheduler.run_until(0.95)
+    assert telemetry.counters["scheduler.events"] == 10
+    assert telemetry.gauges["scheduler.max_queue_depth"] == 20
+    scheduler.run_until(1.95)
+    assert telemetry.counters["scheduler.events"] == 20
+    assert telemetry.gauges["scheduler.max_queue_depth"] == 20

@@ -58,44 +58,15 @@ def table1_configs() -> list[SessionConfig]:
     return configs
 
 
-#: Backends timed for the kernel matrix; the first is the default the
-#: headline numbers come from.
-KERNELS = ("batched", "calendar", "heap")
-
-
-def run_once(
-    configs: list[SessionConfig], kernel: str
-) -> tuple[float, int]:
+def run_once(configs: list[SessionConfig]) -> tuple[float, int]:
     """One serial inline pass; returns (wall seconds, events fired)."""
     events = 0
     start = time.perf_counter()
     for config in configs:
-        config = dataclasses.replace(config, kernel=kernel)
         result = RtcSession(config).run()
         assert result.perf is not None
         events += result.perf.events_fired
     return time.perf_counter() - start, events
-
-
-def bench_kernel(
-    configs: list[SessionConfig], kernel: str, repeats: int
-) -> tuple[float, int]:
-    """Best-of-``repeats`` pass for one backend."""
-    best_wall = float("inf")
-    best_events = 0
-    for index in range(repeats):
-        wall, events = run_once(configs, kernel)
-        # Clamp before dividing: a coarse timer must never crash the
-        # benchmark or print an infinite rate.
-        wall = max(wall, 1e-6)
-        print(
-            f"  [{kernel}] pass {index + 1}: {wall:.3f}s "
-            f"({len(configs) / wall:.2f} sessions/s, "
-            f"{events / wall:,.0f} events/s)"
-        )
-        if wall < best_wall:
-            best_wall, best_events = wall, events
-    return best_wall, best_events
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,27 +82,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     configs = table1_configs()
-    print(
-        f"timing {len(configs)} sessions x {args.repeats} passes "
-        f"x {len(KERNELS)} kernels ..."
-    )
-    kernel_results: dict[str, dict[str, float | int]] = {}
-    for kernel in KERNELS:
-        wall, events = bench_kernel(configs, kernel, args.repeats)
-        kernel_results[kernel] = {
-            "seconds": round(wall, 3),
-            "events_fired": events,
-            "events_per_sec": round(events / max(wall, 1e-6)),
-            "sessions_per_sec": round(len(configs) / max(wall, 1e-6), 2),
-        }
-
-    # Headline: the default kernel, what `kernel=auto` runs.
-    headline = KERNELS[0]
-    best_wall, best_events = (
-        kernel_results[headline]["seconds"],
-        kernel_results[headline]["events_fired"],
-    )
-    best_wall = max(float(best_wall), 1e-6)
+    print(f"timing {len(configs)} sessions x {args.repeats} passes ...")
+    best_wall = float("inf")
+    best_events = 0
+    for index in range(args.repeats):
+        wall, events = run_once(configs)
+        # Clamp before dividing: a coarse timer must never crash the
+        # benchmark or print an infinite rate.
+        wall = max(wall, 1e-6)
+        print(
+            f"  pass {index + 1}: {wall:.3f}s "
+            f"({len(configs) / wall:.2f} sessions/s, "
+            f"{events / wall:,.0f} events/s)"
+        )
+        if wall < best_wall:
+            best_wall, best_events = wall, events
     speedup = BASELINE_SECONDS / best_wall
     payload = {
         "experiment": (
@@ -155,19 +120,14 @@ def main(argv: list[str] | None = None) -> int:
         "events_fired": best_events,
         "events_per_sec": round(int(best_events) / best_wall),
         "sessions_per_sec": round(len(configs) / best_wall, 2),
-        "default_kernel": headline,
-        "kernels": kernel_results,
         "golden_metrics_identical": True,
         "note": (
-            "Headline numbers are the default kernel, the one "
-            "`kernel=auto` runs. The baseline was recorded on an "
-            "earlier container revision, so cross-machine speedups "
-            "are approximate. All kernels are verified bit-identical "
-            "by tools/check_golden.py --compare-kernels (no tolerance "
-            "changes). The batched kernel eliminates ~80% of "
-            "per-event heap traffic; the remaining wall time is "
-            "app-level handler bodies (see the per-handler wall "
-            "attribution in 'repro-rtc profile')."
+            "Best of the timing passes on the one event kernel (the "
+            "binary heap). The baseline was recorded on an earlier "
+            "container revision, so cross-machine speedups are "
+            "approximate. The wall time is mostly app-level handler "
+            "bodies (see the per-handler wall attribution in "
+            "'repro-rtc profile')."
         ),
     }
     args.out.write_text(

@@ -11,18 +11,8 @@ Usage::
 
     python tools/check_golden.py                  # check (CI gate)
     python tools/check_golden.py --update         # re-pin the golden file
-    python tools/check_golden.py --kernel heap    # gate one backend
-    python tools/check_golden.py --compare-kernels  # byte-compare all
     python tools/check_golden.py --workers 4 \
         --table-out table1.txt --trace-out telemetry.jsonl
-
-``--kernel`` pins the event-kernel backend for the regeneration (the
-tolerance gate is kernel-independent — all backends are bit-identical,
-so this mainly documents which one a CI leg exercised).
-``--compare-kernels`` is the stronger check: it reruns every golden
-Table-1 session under each backend and byte-compares the full
-serialized results (not just the headline metrics), failing on the
-first divergence.
 
 Exit codes: 0 = within tolerance, 1 = drift detected, 2 = bad usage /
 missing golden file.
@@ -41,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,7 +42,6 @@ from repro.experiments import scenarios, table1  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.parallel import configure  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
-from repro.simcore.backend import KERNEL_ENV_VAR  # noqa: E402
 from repro.telemetry import export_text  # noqa: E402
 
 #: Default golden file, committed at the repo root.
@@ -132,47 +120,6 @@ def compare(golden: dict, fresh: dict, scale: float = 1.0) -> list[str]:
     return failures
 
 
-#: Backends covered by ``--compare-kernels``; heap is the reference.
-KERNELS = ("heap", "calendar", "batched")
-
-
-def compare_kernels(seeds: tuple[int, ...]) -> list[str]:
-    """Byte-compare full session results across every kernel backend.
-
-    Runs each golden Table-1 session (every ratio x seed x policy)
-    once per backend and compares the complete ``to_dict()`` JSON and
-    the fired-event count against the heap reference. Returns failure
-    lines (empty = bit-identical everywhere).
-    """
-    failures: list[str] = []
-    for ratio in scenarios.TABLE1_DROP_RATIOS:
-        for seed in seeds:
-            base = scenarios.step_drop_config(ratio, seed=seed)
-            for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-                config = dataclasses.replace(base, policy=policy)
-                reference = None
-                ref_events = 0
-                for kernel in KERNELS:
-                    session = RtcSession(
-                        dataclasses.replace(config, kernel=kernel)
-                    )
-                    result = session.run()
-                    payload = json.dumps(result.to_dict(), sort_keys=True)
-                    events = session.scheduler.events_fired
-                    if reference is None:
-                        reference, ref_events = payload, events
-                        continue
-                    if payload != reference or events != ref_events:
-                        failures.append(
-                            f"ratio={ratio} seed={seed} "
-                            f"policy={policy.value}: kernel "
-                            f"'{kernel}' diverged from 'heap' "
-                            f"(bytes_equal={payload == reference}, "
-                            f"events {events} vs {ref_events})"
-                        )
-    return failures
-
-
 def _write_trace(path: Path) -> None:
     """One telemetry-enabled adaptive session, exported as JSONL."""
     config = scenarios.step_drop_config(0.2, seed=GOLDEN_SEEDS[0])
@@ -223,38 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="also write a telemetry JSONL trace here (CI artifact)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=["auto"] + list(KERNELS),
-        default="auto",
-        help="event-kernel backend for the regeneration (default: auto)",
-    )
-    parser.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help="rerun every golden session under each kernel backend and "
-        "byte-compare the full results (skips the tolerance gate)",
-    )
     args = parser.parse_args(argv)
-
-    if args.kernel != "auto":
-        os.environ[KERNEL_ENV_VAR] = args.kernel
-
-    if args.compare_kernels:
-        failures = compare_kernels(GOLDEN_SEEDS)
-        if failures:
-            print("KERNEL DIVERGENCE DETECTED:", file=sys.stderr)
-            for line in failures:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        total = (
-            len(scenarios.TABLE1_DROP_RATIOS) * len(GOLDEN_SEEDS) * 2
-        )
-        print(
-            f"kernel compare OK: {total} sessions bit-identical "
-            f"across {KERNELS}"
-        )
-        return 0
 
     if not args.update and not args.golden.is_file():
         print(

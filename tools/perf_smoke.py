@@ -38,11 +38,9 @@ from repro.experiments import scenarios  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
 from repro.profiling import profile_session  # noqa: E402
-from repro.simcore.backend import KERNELS  # noqa: E402
 
-#: The pinned batch runs at ~14 sessions/sec on the default kernel on a
-#: 2-vCPU x86-64 host with Python 3.11; 4.0 keeps over 3x headroom for
-#: slower CI runners.
+#: The pinned batch runs at ~14 sessions/sec on a 2-vCPU x86-64 host
+#: with Python 3.11; 4.0 keeps over 3x headroom for slower CI runners.
 DEFAULT_FLOOR = 4.0
 
 #: Pinned batch: (policy, drop_ratio), seed 1, default 25s duration.
@@ -55,7 +53,7 @@ PINNED_SESSIONS = (
 )
 
 
-def run_batch(kernel: str = "auto") -> tuple[float, int]:
+def run_batch() -> tuple[float, int]:
     """Run the pinned batch serially; returns (wall seconds, events)."""
     events = 0
     start = time.perf_counter()
@@ -64,30 +62,10 @@ def run_batch(kernel: str = "auto") -> tuple[float, int]:
             scenarios.step_drop_config(drop_ratio, seed=1),
             policy=policy,
         )
-        if kernel != "auto":
-            config = dataclasses.replace(config, kernel=kernel)
         result = RtcSession(config).run()
         assert result.perf is not None
         events += result.perf.events_fired
     return time.perf_counter() - start, events
-
-
-def kernel_matrix() -> list[str]:
-    """Sessions/s for every kernel backend.
-
-    Run on gate failure only: the matrix shows whether a regression is
-    global (all rows slow — runner or handler-body problem) or confined
-    to one backend, which is the first question a triage asks.
-    """
-    rows = []
-    for kernel in KERNELS:
-        wall, _ = run_batch(kernel=kernel)
-        wall = max(wall, 1e-6)
-        rows.append(
-            f"  {kernel:<18} {len(PINNED_SESSIONS) / wall:6.2f} "
-            "sessions/s"
-        )
-    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,9 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             "went)",
             file=sys.stderr,
         )
-        print("kernel matrix (same pinned batch):", file=sys.stderr)
-        for row in kernel_matrix():
-            print(row, file=sys.stderr)
         return 1
     print(
         f"OK: above the {args.min_sessions_per_sec:.2f} sessions/s floor"
