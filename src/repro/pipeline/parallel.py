@@ -32,6 +32,7 @@ import enum
 import hashlib
 import json
 import os
+import re
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -207,6 +208,11 @@ def config_hash(config: object) -> str:
 # ----------------------------------------------------------------------
 # Persistent result cache
 # ----------------------------------------------------------------------
+#: An entry's file name. ``*.json`` alone also matches the ``.tmp-*.json``
+#: file a ``put`` killed before its rename leaves behind.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+
+
 class ResultCache:
     """On-disk store of :class:`SessionResult`s keyed by config hash.
 
@@ -337,22 +343,32 @@ class ResultCache:
         return path
 
     def clear(self) -> int:
-        """Delete all entries; returns how many were removed."""
+        """Delete all entries and orphaned temp files.
+
+        Returns how many entries were removed; the ``.tmp-*.json`` files
+        a ``put`` killed before its rename leaves behind are deleted too
+        but not counted.
+        """
         removed = 0
         if not self.root.is_dir():
             return 0
         for path in self.root.glob("*.json"):
             try:
                 path.unlink()
-                removed += 1
             except OSError:
-                pass
+                continue
+            if _ENTRY_NAME.fullmatch(path.name):
+                removed += 1
         return removed
 
     def __len__(self) -> int:
+        """Number of entries (``<sha256>.json``), not counting temp files."""
         if not self.root.is_dir():
             return 0
-        return sum(1 for _ in self.root.glob("*.json"))
+        return sum(
+            1 for path in self.root.glob("*.json")
+            if _ENTRY_NAME.fullmatch(path.name)
+        )
 
 
 # ----------------------------------------------------------------------

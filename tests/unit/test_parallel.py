@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import scenarios
+from repro.experiments import robustness, scenarios
 from repro.pipeline.config import PolicyName, SessionConfig
 from repro.pipeline.parallel import (
     CACHE_SCHEMA_VERSION,
@@ -154,6 +155,69 @@ class TestResultSerialization:
         )
         assert rebuilt.freeze_fraction() == result.freeze_fraction()
 
+    def test_pickle_round_trip_exact(self):
+        # The process pool's worker-to-parent hop pickles the dict.
+        result = run_session(short_config())
+        payload = pickle.loads(pickle.dumps(result.to_dict()))
+        rebuilt = SessionResult.from_dict(payload)
+        assert rebuilt == result
+        assert json.dumps(rebuilt.to_dict()) == json.dumps(result.to_dict())
+
+    def test_traced_impaired_session_round_trips_byte_equal(self):
+        config = short_config(
+            enable_nack=True,
+            enable_fec=True,
+            enable_playout=True,
+            enable_audio=True,
+            enable_telemetry=True,
+            faults=robustness.fault_suite(at=1.0)["loss_storm"],
+        )
+        result = run_session(config)
+        # The round trip only covers these layers' output if they ran.
+        counters = result.traces.to_dict()["counters"]
+        for name in (
+            "faults.applied",
+            "sender.retransmissions",
+            "fec.recovered_packets",
+        ):
+            assert counters[name] > 0, name
+        assert result.audio_latencies
+        text = json.dumps(result.to_dict())
+        rebuilt = SessionResult.from_dict(json.loads(text))
+        assert json.dumps(rebuilt.to_dict()) == text
+
+    def test_rows_rebuild_from_any_key_order(self):
+        result = run_session(short_config())
+        payload = result.to_dict()
+        payload["frames"] = [
+            dict(reversed(row.items())) for row in payload["frames"]
+        ]
+        assert SessionResult.from_dict(payload) == result
+
+    @pytest.mark.parametrize("rows", ["frames", "timeseries"])
+    def test_row_with_an_extra_key_is_rejected(self, rows):
+        payload = run_session(short_config()).to_dict()
+        payload[rows][0]["bogus"] = 1.0
+        with pytest.raises(TypeError):
+            SessionResult.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "rows, key",
+        [("frames", "displayed_ssim"), ("timeseries", "acked_bps")],
+    )
+    def test_row_missing_a_key_is_rejected(self, rows, key):
+        payload = run_session(short_config()).to_dict()
+        del payload[rows][-1][key]
+        with pytest.raises(TypeError):
+            SessionResult.from_dict(payload)
+
+    def test_row_with_a_renamed_key_is_rejected(self):
+        payload = run_session(short_config()).to_dict()
+        row = payload["frames"][-1]
+        row["ssim"] = row.pop("displayed_ssim")
+        with pytest.raises(KeyError, match="displayed_ssim"):
+            SessionResult.from_dict(payload)
+
 
 # ----------------------------------------------------------------------
 # Persistent cache
@@ -229,6 +293,30 @@ class TestResultCache:
             assert cache.get(config) is None
         assert (tmp_path / "corrupt" / path.name).exists()
 
+    @pytest.mark.parametrize(
+        "alter",
+        [
+            pytest.param(
+                lambda row: row.update(bogus=0.0), id="extra_key"
+            ),
+            pytest.param(
+                lambda row: row.pop("displayed_ssim"),
+                id="missing_displayed_ssim",
+            ),
+        ],
+    )
+    def test_bad_frame_row_is_quarantined(self, tmp_path, alter):
+        cache = ResultCache(tmp_path)
+        config = short_config()
+        cache.put(config, run_session(config))
+        path = cache.path_for(config)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        alter(entry["result"]["frames"][0])
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="undeserializable"):
+            assert cache.get(config) is None
+        assert (tmp_path / "corrupt" / path.name).exists()
+
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = short_config()
@@ -250,6 +338,18 @@ class TestResultCache:
         assert cache.clear() == 1
         assert len(cache) == 0
         assert cache.get(config) is None
+
+    def test_orphaned_temp_file_is_not_an_entry(self, tmp_path):
+        # A put killed before its rename leaves its temp file behind.
+        cache = ResultCache(tmp_path)
+        config = short_config()
+        cache.put(config, run_session(config))
+        orphan = tmp_path / ".tmp-k1lled00.json"
+        orphan.write_text('{"schema": 6, "res', encoding="utf-8")
+        assert len(cache) == 1
+        assert cache.clear() == 1
+        assert not orphan.exists()
+        assert len(cache) == 0
 
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
