@@ -37,9 +37,8 @@ def test_bench_scheduler_throughput(benchmark):
 def test_bench_scheduler_run_until_hot_loop(benchmark):
     """The fused peek/step loop in ``run_until``.
 
-    One cancelled-event sweep + one heappop per iteration (previously
-    two heap inspections per event); a third of the events are
-    cancelled so the sweep path is exercised too.
+    One cancelled-slot check + one heappop per iteration; a third of
+    the events are cancelled so the lazy-drop path is exercised too.
     """
 
     def run_until_30k_events():
@@ -49,7 +48,7 @@ def test_bench_scheduler_run_until_hot_loop(benchmark):
             for i in range(30_000)
         ]
         for event in events[::3]:
-            event.cancel()
+            scheduler.cancel(event)
         scheduler.run_until(4.0)
         return scheduler.events_fired
 

@@ -1,9 +1,10 @@
 """Micro-benchmarks of the event-queue kernel.
 
 Pytest-benchmark timings of the scheduler's primitive operations —
-push/fire throughput, cancellation-heavy churn (the NACK/retransmit
-timer pattern that motivates lazy compaction), and mixed workloads at
-several queue depths. Run with::
+push/fire throughput, cancellation-heavy churn (cancelled entries are
+dropped lazily when they reach the head of the heap), the
+arm-a-timer-per-packet pattern, and mixed workloads at several queue
+depths. Run with::
 
     python -m pytest benchmarks/bench_scheduler.py
 
@@ -39,7 +40,7 @@ def test_bench_push_then_drain(benchmark, depth):
 
 @pytest.mark.parametrize("depth", [1_000, 10_000])
 def test_bench_cancel_heavy_churn(benchmark, depth):
-    """Schedule, cancel 75%, drain — exercises lazy heap compaction."""
+    """Schedule, cancel 75%, drain — exercises lazy dropping."""
 
     def run():
         scheduler = Scheduler()
@@ -47,7 +48,7 @@ def test_bench_cancel_heavy_churn(benchmark, depth):
         events = [call_at(i * 1e-4, _noop) for i in range(depth)]
         for index, event in enumerate(events):
             if index % 4:
-                event.cancel()
+                scheduler.cancel(event)
         scheduler.run()
         return scheduler.events_fired
 
@@ -55,11 +56,11 @@ def test_bench_cancel_heavy_churn(benchmark, depth):
 
 
 def test_bench_retransmit_timer_pattern(benchmark):
-    """The NACK idiom: arm a timer per packet, cancel most on arrival.
+    """Arm a timer per packet, cancel most on arrival.
 
     Events are armed slightly in the future and cancelled from within
-    the running loop, so cancellations hit a live heap (the compaction
-    counter path) rather than a pre-drained one.
+    the running loop, so cancellations hit a live heap rather than a
+    pre-drained one.
     """
     depth = 5_000
 
@@ -69,9 +70,7 @@ def test_bench_retransmit_timer_pattern(benchmark):
         timers = []
 
         def arrive(index: int) -> None:
-            timer = timers[index]
-            if not timer.cancelled:
-                timer.cancel()
+            scheduler.cancel(timers[index])
 
         for i in range(depth):
             base = i * 1e-3
@@ -97,7 +96,7 @@ def test_bench_mixed_push_pop_cancel(benchmark, depth):
             # timer, keeping the queue at a roughly constant depth.
             if i > 0:
                 call_at(scheduler.now + 1e-3, lambda: tick(i - 1))
-            call_at(scheduler.now + 0.5, _noop).cancel()
+            scheduler.cancel(call_at(scheduler.now + 0.5, _noop))
 
         for j in range(depth // 10):
             call_at(j * 1e-5, lambda: tick(9))
@@ -114,7 +113,7 @@ def test_bench_pending_active_bookkeeping(benchmark):
         scheduler.call_at(float(i), _noop) for i in range(10_000)
     ]
     for event in events[::2]:
-        event.cancel()
+        scheduler.cancel(event)
 
     def read():
         return scheduler.pending_active

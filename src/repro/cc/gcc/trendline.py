@@ -8,6 +8,7 @@ the overuse detector thresholds.
 
 from __future__ import annotations
 
+from ...floatsum import left_sum
 from .arrival_filter import DelaySample
 
 #: libwebrtc defaults.
@@ -42,8 +43,7 @@ class TrendlineEstimator:
         self._smoothing = smoothing
         self._gain = threshold_gain
         # Parallel lists (x = relative arrival, y = smoothed delay) with
-        # manual window eviction: builtin sum() over a float list runs
-        # at C speed and accumulates left to right.
+        # manual window eviction; the means add them left to right.
         self._xs: list[float] = []
         self._ys: list[float] = []
         self._accumulated = 0.0
@@ -92,8 +92,8 @@ class TrendlineEstimator:
         xs = self._xs
         ys = self._ys
         n = len(xs)
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
+        mean_x = left_sum(xs) / n
+        mean_y = left_sum(ys) / n
         numer = 0.0
         denom = 0.0
         for x, y in zip(xs, ys):

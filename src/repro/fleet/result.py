@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..floatsum import left_sum
+
 #: Latency percentiles reported for every population slice.
 QOE_PERCENTILES = (50.0, 95.0, 99.0)
 
@@ -31,7 +33,7 @@ def aggregate_rows(rows: list[dict], latencies: list[float]) -> dict:
     """Aggregate compact rows + pooled raw latencies into one slice."""
     slots = sum(row["slots"] for row in rows)
     displayed = sum(row["displayed"] for row in rows)
-    ssim_num = sum(row["mean_ssim"] * row["displayed"] for row in rows)
+    ssim_num = left_sum(row["mean_ssim"] * row["displayed"] for row in rows)
     return {
         "sessions": len(rows),
         "slots": slots,

@@ -36,6 +36,7 @@ from ..codec.source import VideoSource
 from ..errors import ConfigError
 from ..faults.apply import faulted_capacity
 from ..faults.spec import FaultKind
+from ..floatsum import left_sum
 from ..netsim.link import Link
 from ..netsim.packet import Packet
 from ..rtp.feedback import FeedbackCollector, FeedbackReport
@@ -572,7 +573,7 @@ class FleetSession:
                     1.0 - len(shown) / slots if slots else 0.0
                 ),
                 "mean_ssim": (
-                    sum(ssims) / len(ssims) if ssims else 0.0
+                    left_sum(ssims) / len(ssims) if ssims else 0.0
                 ),
                 "p50_ms": percentile_ms(latencies, 50.0),
                 "p95_ms": percentile_ms(latencies, 95.0),

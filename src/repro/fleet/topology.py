@@ -19,6 +19,7 @@ fabric unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -207,6 +208,9 @@ class FleetConfig:
         if rates != sorted(rates, reverse=True):
             raise ConfigError("layers must be ordered high to low rate")
         self.video.validate()
+        # A non-finite end time would never stop the event loop.
+        if not (math.isfinite(self.duration) and math.isfinite(self.grace_period)):
+            raise ConfigError("duration and grace_period must be finite")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.uplink_bps <= 0 or self.internode_bps <= 0:

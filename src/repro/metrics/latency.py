@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReproError
+from ..floatsum import left_sum
 
 
 def cdf(values: np.ndarray | list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -63,6 +64,6 @@ def time_above(
     threshold: float,
 ) -> float:
     """Total time (s) latency spent above ``threshold``."""
-    return sum(end - start for start, end, _ in spike_episodes(
+    return left_sum(end - start for start, end, _ in spike_episodes(
         times, latencies, threshold
     ))

@@ -11,6 +11,7 @@ the packet in service, exactly like a real token-bucket-shaped bottleneck.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,7 +88,10 @@ class Link:
         "queue",
         "_deliver",
         "_loss",
-        "_busy",
+        "_in_service",
+        "_in_flight",
+        "_on_service_end",
+        "_on_arrival",
         "stats",
     )
 
@@ -112,7 +116,16 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(queue_bytes)
         self._deliver = deliver
         self._loss = loss or NoLoss()
-        self._busy = False
+        #: The packet being serialized; ``None`` while the link is idle.
+        self._in_service: Packet | None = None
+        #: Served packets still propagating, in service order. One
+        #: server and one constant delay make arrivals fire in that
+        #: order, so each arrival event takes the head.
+        self._in_flight: deque[Packet] = deque()
+        # Bound once, so scheduling a service end or an arrival
+        # allocates no closure per packet.
+        self._on_service_end = self._finish_service
+        self._on_arrival = self._arrive
         self.stats = LinkStats()
 
     # ------------------------------------------------------------------
@@ -153,17 +166,15 @@ class Link:
         queue."""
         if not self.queue.offer(packet, self._clock._now):
             return False
-        if not self._busy:
+        if self._in_service is None:
             self._start_service()
         return True
 
     def _start_service(self) -> None:
         now = self._clock._now
-        packet = self.queue.pop(now)
+        packet = self._in_service = self.queue.pop(now)
         if packet is None:
-            self._busy = False
             return
-        self._busy = True
         finish = service_end_time(
             self._capacity, now, packet.size_bytes * 8
         )
@@ -173,19 +184,21 @@ class Link:
             # Leaving the link busy with no finish event models a dead
             # link; the queue keeps absorbing offers until it overflows.
             return
-        self._scheduler.call_at(finish, lambda: self._finish_service(packet))
+        self._scheduler.call_at(finish, self._on_service_end)
 
-    def _finish_service(self, packet: Packet) -> None:
-        arrival = self._clock._now + self._propagation
+    def _finish_service(self) -> None:
+        packet = self._in_service
         if self._loss.should_drop(packet):
             self.stats.channel_lost_packets += 1
         else:
+            self._in_flight.append(packet)
             self._scheduler.call_at(
-                arrival, lambda: self._arrive(packet)
+                self._clock._now + self._propagation, self._on_arrival
             )
         self._start_service()
 
-    def _arrive(self, packet: Packet) -> None:
+    def _arrive(self) -> None:
+        packet = self._in_flight.popleft()
         packet.arrival_time = self._clock._now
         stats = self.stats
         stats.delivered_packets += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import ConfigError
+from ..floatsum import left_sum
 from ..simcore.scheduler import Scheduler
 from ..traces.bandwidth import BandwidthTrace
 from .link import Link
@@ -67,7 +68,7 @@ class Path:
 
     def total_propagation(self) -> float:
         """Sum of hop propagation delays."""
-        return sum(link.propagation_delay for link in self._links)
+        return left_sum(link.propagation_delay for link in self._links)
 
     def bottleneck(self) -> Link:
         """The hop with the lowest *current* capacity."""

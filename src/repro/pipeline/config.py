@@ -7,6 +7,7 @@ controller, and the adaptation policy under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -152,6 +153,9 @@ class SessionConfig:
         self.video.validate()
         self.adaptive.validate()
         self.detector.validate()
+        # A non-finite end time would never stop the event loop.
+        if not (math.isfinite(self.duration) and math.isfinite(self.grace_period)):
+            raise ConfigError("duration and grace_period must be finite")
         if self.duration <= 0 or self.grace_period < 0:
             raise ConfigError("duration must be positive, grace >= 0")
         if not 0 < self.min_bps <= self.initial_target_bps <= self.max_bps:

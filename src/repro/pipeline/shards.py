@@ -69,6 +69,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..errors import ConfigError, LeaseConflictError
+from ..floatsum import left_sum
 from .config import PolicyName, SessionConfig
 from .manifest import (
     DEFAULT_LEASE_TTL,
@@ -498,7 +499,7 @@ class ShardPlan:
 
     def shard_cost(self, shard_index: int) -> float:
         """Total estimated cost assigned to one shard."""
-        return sum(
+        return left_sum(
             self.cost_of(index)
             for index in self.cell_indices(shard_index)
         )

@@ -32,6 +32,7 @@ class Pacer:
         "_queue",
         "_queue_bytes",
         "_sending",
+        "_release",
         "sent_packets",
         "sent_bytes",
     )
@@ -54,6 +55,8 @@ class Pacer:
         self._queue: deque[Packet] = deque()
         self._queue_bytes = 0
         self._sending = False
+        # Bound once, so scheduling a release allocates no bound method.
+        self._release = self._release_next
         self.sent_packets = 0
         self.sent_bytes = 0
 
@@ -102,7 +105,7 @@ class Pacer:
     def _wake(self) -> None:
         if not self._sending and self._queue:
             self._sending = True
-            self._scheduler.call_in(0.0, self._release_next)
+            self._scheduler.call_in(0.0, self._release)
 
     def _release_next(self) -> None:
         if not self._queue:
@@ -117,4 +120,4 @@ class Pacer:
         self._send(packet)
         self.sent_packets += 1
         self.sent_bytes += size
-        scheduler.call_at(now + size * 8 / self._rate_bps, self._release_next)
+        scheduler.call_at(now + size * 8 / self._rate_bps, self._release)

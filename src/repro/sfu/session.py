@@ -21,6 +21,7 @@ floor during the drop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..codec.encoder import SimulatedEncoder
@@ -80,8 +81,13 @@ class SimulcastConfig:
         rates = [layer.target_bps for layer in self.layers]
         if rates != sorted(rates, reverse=True):
             raise ConfigError("layers must be ordered high to low rate")
+        # A non-finite end time would never stop the event loop.
+        if not (math.isfinite(self.duration) and math.isfinite(self.grace_period)):
+            raise ConfigError("duration and grace_period must be finite")
         if self.duration <= 0 or self.uplink_bps <= 0:
             raise ConfigError("duration and uplink rate must be positive")
+        if self.grace_period < 0:
+            raise ConfigError("grace_period must be >= 0")
 
 
 class SimulcastSession:

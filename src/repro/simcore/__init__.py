@@ -1,14 +1,13 @@
 """Discrete-event simulation kernel.
 
 Exports the pieces every other subsystem builds on: the event
-:class:`Scheduler`, :class:`Clock`, :class:`Event`, recurring
+:class:`Scheduler`, :class:`Clock`, recurring
 :class:`PeriodicProcess`, and seeded :class:`RngStreams`.
 """
 
 from .clock import Clock
-from .events import Event
 from .process import PeriodicProcess
 from .rng import RngStreams
 from .scheduler import Scheduler
 
-__all__ = ["Clock", "Event", "PeriodicProcess", "RngStreams", "Scheduler"]
+__all__ = ["Clock", "PeriodicProcess", "RngStreams", "Scheduler"]

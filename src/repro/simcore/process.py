@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import ConfigError
-from .events import Event
 from .scheduler import Scheduler
 
 
@@ -50,7 +49,7 @@ class PeriodicProcess:
         self._tick = 0
         self._stopped = False
         first = scheduler.now if start_at is None else start_at
-        self._pending: Event | None = scheduler.call_at(
+        self._pending: list | None = scheduler.call_at(
             first, self._fire, priority
         )
 
@@ -79,7 +78,7 @@ class PeriodicProcess:
         """Cancel future ticks. Idempotent."""
         self._stopped = True
         if self._pending is not None:
-            self._pending.cancel()
+            self._scheduler.cancel(self._pending)
             self._pending = None
 
     def _fire(self) -> None:

@@ -14,16 +14,16 @@ Determinism guarantees:
 Performance notes (this file is the hottest loop in the repo — see
 ``repro-rtc profile``):
 
-* the heap stores ``(time, priority, seq, event)`` tuples, so heap
-  sift comparisons are C tuple comparisons instead of Python-level
-  ``Event.__lt__`` calls;
+* an event is its heap entry, a ``[time, priority, seq, callback]``
+  list: scheduling allocates that one list and nothing else, and heap
+  sift comparisons are C list comparisons that never reach the
+  callback, because ``seq`` is unique;
 * the sequence tie-breaker is a per-scheduler counter, so event
-  ordering and reprs are reproducible regardless of process history;
-* cancelled events are dropped lazily when popped, and the heap is
-  compacted outright once cancelled entries exceed
-  :attr:`Scheduler.COMPACT_FRACTION` of it (cancellation-heavy
-  workloads — NACK/retransmit timers — otherwise drag dead weight
-  through every sift).
+  ordering is reproducible regardless of process history;
+* the entry is also the handle :meth:`Scheduler.cancel` takes.
+  Cancelling clears the callback slot, and the loop drops such entries
+  when they reach the head of the heap. Only ``PeriodicProcess.stop``
+  cancels, a few times per session, so there is no compaction.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Callable
 from ..errors import SchedulingError
 from ..telemetry.recorder import NULL_TELEMETRY, Telemetry
 from .clock import Clock
-from .events import Event
 
 _isfinite = math.isfinite
 _INF = float("inf")
@@ -64,17 +63,13 @@ class Scheduler:
         "_cancelled_pending",
     )
 
-    #: Lazy-compaction thresholds: the heap is rebuilt without cancelled
-    #: entries once at least ``COMPACT_MIN`` of them linger *and* they
-    #: make up more than ``COMPACT_FRACTION`` of the heap.
-    COMPACT_MIN = 64
-    COMPACT_FRACTION = 0.25
-
     def __init__(
         self, start: float = 0.0, telemetry: Telemetry | None = None
     ) -> None:
         self.clock = Clock(start)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: ``[time, priority, seq, callback]`` entries; the callback slot
+        #: is ``None`` once the entry is cancelled or fired.
+        self._heap: list[list] = []
         self._events_fired = 0
         self._running = False
         self._telemetry = telemetry or NULL_TELEMETRY
@@ -114,10 +109,12 @@ class Scheduler:
         time: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Schedule ``callback`` at absolute simulation ``time``.
 
-        Returns the :class:`Event`, which the caller may ``cancel()``.
+        Returns the event's heap entry, ``[time, priority, seq,
+        callback]``, as its handle for :meth:`cancel`. Treat it as
+        opaque.
 
         Raises:
             SchedulingError: if ``time`` precedes the current clock or is
@@ -137,20 +134,31 @@ class Scheduler:
             )
         seq = self._next_seq
         self._next_seq = seq + 1
-        event = Event(time, priority, seq, callback, scheduler=self)
-        _heappush(self._heap, (time, priority, seq, event))
-        return event
+        entry = [time, priority, seq, callback]
+        _heappush(self._heap, entry)
+        return entry
 
     def call_in(
         self,
         delay: float,
         callback: Callable[[], None],
         priority: int = 0,
-    ) -> Event:
+    ) -> list:
         """Schedule ``callback`` after a relative ``delay`` seconds."""
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay!r}")
         return self.call_at(self.clock._now + delay, callback, priority)
+
+    def cancel(self, handle: list) -> None:
+        """Stop the event ``handle`` (from :meth:`call_at`) from firing.
+
+        Idempotent, and a no-op once the event has fired: firing clears
+        the callback slot too. The entry stays in the heap, counted by
+        :attr:`cancelled_pending`, until it reaches the head.
+        """
+        if handle[3] is not None:
+            handle[3] = None
+            self._cancelled_pending += 1
 
     def peek_time(self) -> float | None:
         """Time of the next non-cancelled event, or ``None`` if empty."""
@@ -166,7 +174,7 @@ class Scheduler:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0][3].callback
+        return self._heap[0][3]
 
     def step(self) -> bool:
         """Fire the single next event.
@@ -177,11 +185,12 @@ class Scheduler:
         self._drop_cancelled()
         if not self._heap:
             return False
-        time, _, _, event = heapq.heappop(self._heap)
-        event._scheduler = None
-        self.clock.advance_to(time)
+        entry = heapq.heappop(self._heap)
+        callback = entry[3]
+        entry[3] = None
+        self.clock.advance_to(entry[0])
         self._events_fired += 1
-        event.callback()
+        callback()
         return True
 
     def run_until(self, end_time: float) -> None:
@@ -189,15 +198,22 @@ class Scheduler:
         ``end_time``; finally advance the clock to ``end_time``.
 
         Raises:
-            SchedulingError: when called re-entrantly from a callback.
+            SchedulingError: when called re-entrantly from a callback, or
+                when ``end_time`` is not finite (use :meth:`run` to drain
+                the queue).
         """
         if self._running:
             raise SchedulingError("run_until called re-entrantly")
+        if not _isfinite(end_time):
+            raise SchedulingError(
+                f"end time must be finite, got {end_time!r}"
+            )
         self._running = True
-        # Hot loop: fused sweep/pop — one cancelled-check and one
-        # heappop per event, on tuple entries (C comparisons). The
-        # telemetry variant is a separate copy so the disabled path
-        # stays free of per-event bookkeeping beyond this one branch.
+        # Hot loop: one callback-slot check and one heappop per event, on
+        # list entries (C comparisons). Firing clears the slot so a late
+        # cancel is a no-op. The telemetry variant is a separate copy so
+        # the disabled path stays free of per-event bookkeeping beyond
+        # this one branch.
         heap = self._heap
         clock = self.clock
         pop = heapq.heappop
@@ -206,41 +222,39 @@ class Scheduler:
             if not telemetry.enabled:
                 while heap:
                     entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
+                    callback = entry[3]
+                    if callback is None:
                         pop(heap)
-                        event._scheduler = None
                         self._cancelled_pending -= 1
                         continue
                     time = entry[0]
                     if time > end_time:
                         break
                     pop(heap)
-                    event._scheduler = None
+                    entry[3] = None
                     clock._now = time
                     # Per-event so ``events_fired`` read from inside a
                     # callback is live, matching the telemetry path.
                     self._events_fired += 1
-                    event.callback()
+                    callback()
             else:
                 fired_before = self._events_fired
                 max_depth = len(heap) - self._cancelled_pending
                 while heap:
                     entry = heap[0]
-                    event = entry[3]
-                    if event.cancelled:
+                    callback = entry[3]
+                    if callback is None:
                         pop(heap)
-                        event._scheduler = None
                         self._cancelled_pending -= 1
                         continue
                     time = entry[0]
                     if time > end_time:
                         break
                     pop(heap)
-                    event._scheduler = None
+                    entry[3] = None
                     clock._now = time
                     self._events_fired += 1
-                    event.callback()
+                    callback()
                     depth = len(heap) - self._cancelled_pending
                     if depth > max_depth:
                         max_depth = depth
@@ -266,45 +280,6 @@ class Scheduler:
     # ------------------------------------------------------------------
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            _, _, _, event = heapq.heappop(heap)
-            event._scheduler = None
+        while heap and heap[0][3] is None:
+            heapq.heappop(heap)
             self._cancelled_pending -= 1
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` while the event is queued."""
-        count = self._cancelled_pending + 1
-        self._cancelled_pending = count
-        if (
-            count >= self.COMPACT_MIN
-            and count > self.pending * self.COMPACT_FRACTION
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries, in place.
-
-        Heap order is fully determined by the ``(time, priority, seq)``
-        key, so re-heapifying the surviving entries preserves the exact
-        firing order. The list object must stay the same one:
-        :meth:`run_until` holds a local alias to ``self._heap``, and
-        compaction can run mid-loop when a callback cancels events.
-
-        The cancelled-pending counter is *recomputed* from the rebuilt
-        heap rather than assumed: after a compaction — including one
-        over a 100%-cancelled heap, where the surviving active set is
-        empty — ``pending_active`` must equal the number of entries
-        that will actually fire, with nothing stale left behind.
-        """
-        survivors = []
-        for entry in self._heap:
-            event = entry[3]
-            if event.cancelled:
-                event._scheduler = None
-            else:
-                survivors.append(entry)
-        heapq.heapify(survivors)
-        self._heap[:] = survivors
-        # Survivors are non-cancelled by construction (no callback can
-        # run during the rebuild), so the exact count is zero.
-        self._cancelled_pending = 0

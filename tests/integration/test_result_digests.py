@@ -6,6 +6,12 @@ sha256 of ``to_dict()`` for a short impaired session, for a small
 two-region fleet, and for one cell of the fleet grid. A pure speed-up
 of those paths must leave every digest untouched.
 
+Each pin also runs with builtin ``sum()`` replaced by ``math.fsum`` on
+float inputs. From Python 3.12, ``sum()`` compensates float rounding,
+so a pin that moved under another rounding would hold on one Python
+version and break on the next; ``repro.floatsum.left_sum`` is the sum
+that results use instead.
+
 Regenerating after an *intended* behaviour change: run this file with
 ``PYTHONPATH=src python -m pytest -q tests/integration/test_result_digests.py``,
 copy the digests the failures report into the constants below, and say
@@ -14,9 +20,13 @@ in the commit message why the results moved.
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
 import json
+import math
+
+import pytest
 
 from repro.experiments import fleet, robustness, scenarios
 from repro.fleet import FleetSession, two_region_fleet
@@ -91,3 +101,28 @@ def test_steady_fleet_cell_digest_is_pinned():
     result = FleetSession(config).run()
     assert result.totals["forwarded_packets"] > 0
     assert _digest(result.to_dict()) == STEADY_FLEET_CELL_SHA256
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _fsum_on_floats(values, start=0):
+    """``sum()`` that rounds float inputs differently: exactly."""
+    values = list(values)
+    if start == 0 and values and all(isinstance(v, float) for v in values):
+        return math.fsum(values)
+    return _BUILTIN_SUM(values, start)
+
+
+@pytest.mark.parametrize(
+    "pinned",
+    [
+        test_impaired_session_digest_is_pinned,
+        test_two_region_fleet_digest_is_pinned,
+        test_steady_fleet_cell_digest_is_pinned,
+    ],
+    ids=["impaired", "two_region_fleet", "steady_fleet_cell"],
+)
+def test_digest_pins_do_not_depend_on_sum_rounding(monkeypatch, pinned):
+    monkeypatch.setattr(builtins, "sum", _fsum_on_floats)
+    pinned()

@@ -106,6 +106,24 @@ def test_simulcast_config_validation():
         ).validate()  # duplicate names
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"duration": float("nan")},
+        {"duration": float("inf")},
+        {"grace_period": float("nan")},
+        {"grace_period": float("inf")},
+        {"grace_period": -1.0},
+    ],
+)
+def test_simulcast_config_rejects_bad_session_times(mutation):
+    """The session runs to ``duration + grace_period``, so both must be
+    finite, and the grace must not be negative."""
+    net = NetworkConfig(capacity=drop_ratio_scenario(mbps(2.5), 0.5))
+    with pytest.raises(ConfigError):
+        SimulcastConfig(network=net, **mutation).validate()
+
+
 @pytest.fixture(scope="module")
 def drop_run():
     capacity = drop_ratio_scenario(mbps(2.5), 0.2, 10.0, 10.0)

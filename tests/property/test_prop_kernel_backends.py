@@ -46,7 +46,7 @@ def _replay(scheduler, ops):
                 )
             )
         elif op == "cancel" and events:
-            events[int(value) % len(events)].cancel()
+            scheduler.cancel(events[int(value) % len(events)])
         elif op == "run_until":
             horizon = max(value, scheduler.now)
             scheduler.run_until(horizon)
@@ -129,7 +129,7 @@ def test_calendar_matches_heap_with_reentrant_scheduling(seed_times):
                     doomed = scheduler.call_at(
                         scheduler.now + 0.125, lambda: fired.append("x")
                     )
-                    doomed.cancel()
+                    scheduler.cancel(doomed)
 
         for index, time in enumerate(seed_times):
             scheduler.call_at(time, lambda i=index: chain(3, i))

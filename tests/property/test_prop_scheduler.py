@@ -74,9 +74,6 @@ class _ModelEvent:
         self.callback = callback
         self.cancelled = False
 
-    def cancel(self):
-        self.cancelled = True
-
 
 class _ModelScheduler:
     """Linear-scan reference for the heap kernel: the next event is
@@ -97,6 +94,9 @@ class _ModelScheduler:
         self._seq += 1
         self._queue.append(event)
         return event
+
+    def cancel(self, event):
+        event.cancelled = True
 
     def _next(self):
         live = [event for event in self._queue if not event.cancelled]
@@ -158,9 +158,11 @@ def _replay(scheduler, ops):
             lambda: fire(("child", tag)),
             priority=priority,
         )
-        scheduler.call_at(
-            scheduler.now + delay / 2, lambda: fire(("doomed", tag))
-        ).cancel()
+        scheduler.cancel(
+            scheduler.call_at(
+                scheduler.now + delay / 2, lambda: fire(("doomed", tag))
+            )
+        )
 
     for index, (op, value, priority) in enumerate(ops):
         if op in ("insert", "spawn"):
@@ -173,7 +175,7 @@ def _replay(scheduler, ops):
                 )
             events.append(scheduler.call_at(time, callback, priority))
         elif op == "cancel" and events:
-            events[int(value) % len(events)].cancel()
+            scheduler.cancel(events[int(value) % len(events)])
         elif op == "run_until":
             horizon = max(value, scheduler.now)
             scheduler.run_until(horizon)

@@ -4,9 +4,8 @@ The calendar-queue kernel is gone. :mod:`repro.simcore.calendar` keeps
 ``CalendarScheduler`` as an empty :class:`Scheduler` subclass because
 the benchmark's tracer imports it and wraps its ``run_until``. These
 tests keep the calendar kernel's scenarios (far-future events, many
-events, inserts at the current time, cancellation compaction) and
-check that the class behaves exactly as the heap does, diagnostics
-included.
+events, inserts at the current time, cancellation) and check that the
+class behaves exactly as the heap does, diagnostics included.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def test_run_until_horizon_and_diagnostics_match_heap():
         handles = [
             scheduler.call_at(float(i), lambda: None) for i in range(10)
         ]
-        handles[7].cancel()
-        handles[9].cancel()
+        scheduler.cancel(handles[7])
+        scheduler.cancel(handles[9])
         scheduler.run_until(4.5)
         return (
             scheduler.now,
@@ -127,27 +126,6 @@ def test_run_until_reentrancy_raises():
     scheduler.call_at(1.0, lambda: scheduler.run_until(5.0))
     with pytest.raises(SimulationError):
         scheduler.run_until(2.0)
-
-
-def test_compact_rebuilds_ring():
-    """Compaction after heavy cancellation keeps exactly the live
-    events."""
-    scheduler = CalendarScheduler()
-    fired = []
-    handles = [
-        scheduler.call_at(float(i), lambda i=i: fired.append(i))
-        for i in range(Scheduler.COMPACT_MIN * 2)
-    ]
-    for handle in handles[::2]:
-        handle.cancel()
-    # Lazy compaction may already have run; force one more and check
-    # the live set survives intact.
-    scheduler._compact()
-    assert scheduler.cancelled_pending == 0
-    assert scheduler.pending == scheduler.pending_active
-    scheduler.run()
-    assert scheduler.pending == 0
-    assert fired == list(range(1, Scheduler.COMPACT_MIN * 2, 2))
 
 
 def test_telemetry_counters_match_heap():

@@ -51,6 +51,10 @@ def test_two_region_fleet_validates():
         {"faulted_region": "nope"},
         {"grace_period": -1.0},
         {"layers": ()},
+        {"duration": float("nan")},
+        {"duration": float("inf")},
+        {"grace_period": float("nan")},
+        {"grace_period": float("inf")},
     ],
 )
 def test_validate_rejects_bad_values(mutation):

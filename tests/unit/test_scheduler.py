@@ -57,7 +57,7 @@ def test_run_until_stops_before_later_events(scheduler):
 def test_cancelled_event_does_not_fire(scheduler):
     fired = []
     event = scheduler.call_at(1.0, lambda: fired.append("x"))
-    event.cancel()
+    scheduler.cancel(event)
     scheduler.run_until(2.0)
     assert fired == []
 
@@ -89,6 +89,19 @@ def test_cannot_schedule_nonfinite(scheduler):
         scheduler.call_at(float("nan"), lambda: None)
 
 
+@pytest.mark.parametrize("end", [float("nan"), float("inf")])
+def test_run_until_rejects_non_finite_end(scheduler, end):
+    """``time > nan`` is never true, so a NaN horizon would run a
+    self-rescheduling timer forever; ``run()`` is the way to drain."""
+    scheduler.call_at(1.0, lambda: None)
+    with pytest.raises(SchedulingError):
+        scheduler.run_until(end)
+    assert scheduler.events_fired == 0
+    # The rejected call left the scheduler usable.
+    scheduler.run_until(2.0)
+    assert scheduler.events_fired == 1
+
+
 def test_negative_delay_rejected(scheduler):
     with pytest.raises(SchedulingError):
         scheduler.call_in(-0.1, lambda: None)
@@ -108,7 +121,7 @@ def test_events_fired_counter(scheduler):
 def test_peek_time_skips_cancelled(scheduler):
     event = scheduler.call_at(1.0, lambda: None)
     scheduler.call_at(2.0, lambda: None)
-    event.cancel()
+    scheduler.cancel(event)
     assert scheduler.peek_time() == 2.0
 
 
@@ -174,8 +187,8 @@ def test_partial_run_leaves_exact_diagnostics(scheduler):
     """Cancelled entries beyond the horizon stay queued, counted as
     cancelled, until they reach the head."""
     handles = [scheduler.call_at(float(i), lambda: None) for i in range(10)]
-    handles[7].cancel()
-    handles[9].cancel()
+    scheduler.cancel(handles[7])
+    scheduler.cancel(handles[9])
     scheduler.run_until(4.5)
     assert scheduler.now == 4.5
     assert scheduler.events_fired == 5

@@ -1,10 +1,11 @@
-"""Cancellation-heavy scheduler workloads: lazy compaction semantics.
+"""Cancellation-heavy scheduler workloads: lazy dropping semantics.
 
-The scheduler drops cancelled events lazily (when popped) and compacts
-the heap outright once cancelled entries exceed ``COMPACT_FRACTION`` of
-it. These tests pin down that machinery: the compaction trigger, the
-``pending`` vs ``pending_active`` split, and that neither lazy dropping
-nor compaction can ever change which events fire or in what order.
+``Scheduler.cancel(handle)`` clears the entry's callback slot, and the
+scheduler drops the entry when it reaches the head of the heap; the
+heap is never compacted. These tests pin down that contract: the
+``pending`` vs ``pending_active`` split, cancel-after-fire and repeated
+cancels as no-ops, cancelling from inside a callback, and that lazy
+dropping can never change which events fire or in what order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore.scheduler import Scheduler
 
 
 def test_pending_counts_raw_heap_pending_active_excludes_cancelled(
@@ -22,7 +22,7 @@ def test_pending_counts_raw_heap_pending_active_excludes_cancelled(
     assert scheduler.pending == 10
     assert scheduler.pending_active == 10
     for event in events[:4]:
-        event.cancel()
+        scheduler.cancel(event)
     # Lazy cancellation: the raw heap still holds all ten entries.
     assert scheduler.pending == 10
     assert scheduler.pending_active == 6
@@ -32,39 +32,19 @@ def test_pending_counts_raw_heap_pending_active_excludes_cancelled(
 def test_cancel_is_idempotent_for_counters(scheduler):
     event = scheduler.call_at(1.0, lambda: None)
     scheduler.call_at(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
-    event.cancel()
+    scheduler.cancel(event)
+    scheduler.cancel(event)
+    scheduler.cancel(event)
     assert scheduler.cancelled_pending == 1
     assert scheduler.pending_active == 1
 
 
-def test_compaction_triggers_above_fraction_threshold(scheduler):
-    # Enough events that COMPACT_MIN is reachable, then cancel until
-    # the cancelled fraction crosses COMPACT_FRACTION.
-    total = Scheduler.COMPACT_MIN * 5
-    events = [
-        scheduler.call_at(float(i), lambda: None) for i in range(total)
-    ]
-    threshold = int(total * Scheduler.COMPACT_FRACTION) + 1
-    assert threshold >= Scheduler.COMPACT_MIN
-    for event in events[:threshold]:
-        event.cancel()
-    # The compaction fired: cancelled entries were physically removed.
-    assert scheduler.cancelled_pending == 0
-    assert scheduler.pending == total - threshold
-    assert scheduler.pending == scheduler.pending_active
-
-
 def test_no_compaction_below_min_count(scheduler):
-    # A small queue never compacts even at a 100% cancelled fraction:
-    # lazy dropping is cheap enough there.
-    events = [
-        scheduler.call_at(float(i), lambda: None)
-        for i in range(Scheduler.COMPACT_MIN - 1)
-    ]
+    """A queue never compacts, even at a 100% cancelled fraction:
+    cancelled entries stay until they reach the head."""
+    events = [scheduler.call_at(float(i), lambda: None) for i in range(1000)]
     for event in events:
-        event.cancel()
+        scheduler.cancel(event)
     assert scheduler.cancelled_pending == len(events)
     assert scheduler.pending == len(events)
     assert scheduler.pending_active == 0
@@ -73,15 +53,15 @@ def test_no_compaction_below_min_count(scheduler):
 def test_cancelled_events_never_fire_across_compaction(scheduler):
     """Heavy cancellation churn: survivors fire exactly once, in order."""
     fired = []
-    total = Scheduler.COMPACT_MIN * 4
+    total = 256
     events = [
         scheduler.call_at(float(i), lambda i=i: fired.append(i))
         for i in range(total)
     ]
-    # Cancel every other event — crosses the compaction threshold at
-    # least once while survivors remain interleaved through the heap.
+    # Cancel every other event, so survivors stay interleaved with
+    # cancelled entries through the whole heap.
     for event in events[::2]:
-        event.cancel()
+        scheduler.cancel(event)
     scheduler.run_until(float(total) + 1.0)
     assert fired == list(range(1, total, 2))
     assert scheduler.pending == 0
@@ -89,15 +69,15 @@ def test_cancelled_events_never_fire_across_compaction(scheduler):
 
 
 def test_ordering_preserved_at_equal_time_and_priority(scheduler):
-    """Compaction must not disturb FIFO order among equal keys."""
+    """Cancelling must not disturb FIFO order among equal keys."""
     fired = []
     keep = []
-    for i in range(Scheduler.COMPACT_MIN * 4):
+    for i in range(256):
         event = scheduler.call_at(
             5.0, lambda i=i: fired.append(i), priority=3
         )
         if i % 3 == 0:
-            event.cancel()
+            scheduler.cancel(event)
         else:
             keep.append(i)
     scheduler.run_until(10.0)
@@ -110,7 +90,7 @@ def test_cancel_after_fire_does_not_corrupt_counter(scheduler):
     scheduler.run_until(1.5)
     # The event already fired and left the heap; cancelling it now is a
     # no-op for the pending-cancelled bookkeeping.
-    event.cancel()
+    scheduler.cancel(event)
     assert scheduler.cancelled_pending == 0
     assert scheduler.pending == 1
     assert scheduler.pending_active == 1
@@ -120,7 +100,7 @@ def test_step_and_peek_skip_cancelled_entries(scheduler):
     fired = []
     first = scheduler.call_at(1.0, lambda: fired.append("a"))
     scheduler.call_at(2.0, lambda: fired.append("b"))
-    first.cancel()
+    scheduler.cancel(first)
     assert scheduler.peek_time() == 2.0
     assert scheduler.step() is True
     assert fired == ["b"]
@@ -128,14 +108,15 @@ def test_step_and_peek_skip_cancelled_entries(scheduler):
 
 
 def test_compaction_inside_run_until_keeps_heap_alias_valid(scheduler):
-    """A callback that cancels enough events to trigger compaction
-    mid-run must not strand the loop on a stale heap: events scheduled
-    after the compaction still fire, survivors fire exactly once, and
+    """A callback that cancels most of the heap mid-run must not
+    strand the loop: events scheduled after the cancels still fire,
+    survivors fire exactly once, and the cancelled entries are all
+    dropped (even those past the horizon, once they reach the head), so
     the cancelled-pending counter lands at zero."""
     fired = []
     victims = [
         scheduler.call_at(10.0 + i, lambda: fired.append("victim"))
-        for i in range(Scheduler.COMPACT_MIN * 5)
+        for i in range(320)
     ]
     survivor_times = [3.0, 4.0]
     for t in survivor_times:
@@ -143,7 +124,7 @@ def test_compaction_inside_run_until_keeps_heap_alias_valid(scheduler):
 
     def canceller():
         for event in victims:
-            event.cancel()
+            scheduler.cancel(event)
         scheduler.call_at(2.0, lambda: fired.append("late"))
 
     scheduler.call_at(1.0, canceller)
@@ -177,27 +158,26 @@ def test_run_until_reentrancy_raises(scheduler):
 def test_events_fired_counts_only_fired_events(scheduler):
     events = [scheduler.call_at(float(i), lambda: None) for i in range(8)]
     for event in events[:3]:
-        event.cancel()
+        scheduler.cancel(event)
     scheduler.run_until(100.0)
     assert scheduler.events_fired == 5
 
 
 def test_compaction_with_fully_cancelled_heap(scheduler):
-    """Cancelling *every* entry in a compaction-sized heap must leave
-    the counters self-consistent: ``pending`` collapses to zero (the
-    compaction removes all entries, there being no survivors) and no
-    stale cancelled-pending count lingers to skew ``pending_active``."""
+    """Cancelling *every* entry in a large heap must leave the counters
+    self-consistent: ``pending_active`` is zero at once, the first look
+    at the head drops every entry, and no stale cancelled-pending count
+    lingers to skew ``pending_active``."""
     events = [
-        scheduler.call_at(float(i), lambda: None)
-        for i in range(Scheduler.COMPACT_MIN * 2)
+        scheduler.call_at(float(i), lambda: None) for i in range(128)
     ]
     for event in events:
-        event.cancel()
-    assert scheduler.pending == 0
-    assert scheduler.cancelled_pending == 0
+        scheduler.cancel(event)
     assert scheduler.pending_active == 0
     # The queue is genuinely empty, not just accounted as empty.
     assert scheduler.peek_time() is None
+    assert scheduler.pending == 0
+    assert scheduler.cancelled_pending == 0
     assert scheduler.step() is False
     # And it remains fully usable afterwards.
     fired = []
@@ -207,20 +187,17 @@ def test_compaction_with_fully_cancelled_heap(scheduler):
     assert scheduler.pending_active == 0
 
 
-def test_direct_compact_on_fully_cancelled_heap(scheduler):
-    """``_compact`` invoked on a 100%-cancelled heap (below the lazy
-    threshold, so it never fired on its own) resets every counter."""
-    events = [
-        scheduler.call_at(float(i), lambda: None)
-        for i in range(Scheduler.COMPACT_MIN - 1)
-    ]
-    for event in events:
-        event.cancel()
-    # Below COMPACT_MIN nothing triggered: stale entries linger.
-    assert scheduler.pending == len(events)
-    assert scheduler.pending_active == 0
-    scheduler._compact()
-    assert scheduler.pending == 0
+def test_cancel_inside_own_callback_is_a_no_op(scheduler):
+    """Firing clears the entry's callback slot before the callback
+    runs, so an event that cancels its own handle changes nothing."""
+    handles = []
+
+    def cancel_self():
+        scheduler.cancel(handles[0])
+
+    handles.append(scheduler.call_at(1.0, cancel_self))
+    scheduler.call_at(2.0, lambda: None)
+    scheduler.run_until(1.5)
+    assert scheduler.events_fired == 1
     assert scheduler.cancelled_pending == 0
-    assert scheduler.pending_active == 0
-    assert scheduler.peek_time() is None
+    assert scheduler.pending_active == 1

@@ -65,6 +65,16 @@ def test_session_validation():
         dataclasses.replace(base, grace_period=-1).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["duration", "grace_period"])
+def test_session_rejects_non_finite_times(name, value):
+    """The session runs to ``duration + grace_period``; a NaN or
+    infinite end would keep its periodic timers firing forever."""
+    base = SessionConfig(network=_network())
+    with pytest.raises(ConfigError):
+        dataclasses.replace(base, **{name: value}).validate()
+
+
 def test_policy_enum_round_trip():
     for policy in PolicyName:
         assert PolicyName(policy.value) is policy
