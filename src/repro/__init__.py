@@ -36,14 +36,10 @@ from .pipeline import (
     SessionPerf,
     SessionResult,
     VideoConfig,
-    compare_point,
     configure,
     jain_fairness,
     run_many,
-    run_policies,
-    run_repetitions,
     run_session,
-    sweep,
 )
 
 __version__ = "1.0.0"
@@ -60,13 +56,9 @@ __all__ = [
     "SessionPerf",
     "SessionResult",
     "VideoConfig",
-    "compare_point",
     "configure",
     "jain_fairness",
     "run_many",
-    "run_policies",
-    "run_repetitions",
     "run_session",
-    "sweep",
     "__version__",
 ]

@@ -81,7 +81,6 @@ from .pipeline.parallel import ResultCache, configure, run_many
 from .pipeline.runner import run_session
 from .pipeline.supervisor import (
     FailedSession,
-    RetryPolicy,
     SupervisorPlan,
     SupervisorPolicy,
 )
@@ -413,15 +412,7 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
 
 def _cmd_shard_run(args: argparse.Namespace) -> int:
     plan = shards.ShardPlan.load(args.plan)
-    retry = (
-        RetryPolicy()
-        if args.max_retries is None
-        else RetryPolicy(max_retries=args.max_retries)
-    )
-    policy = SupervisorPolicy(
-        session_timeout=args.session_timeout, retry=retry
-    )
-    policy.validate()
+    policy = _supervisor_policy(args)
     manifest_path = (
         Path(args.manifest)
         if args.manifest is not None
@@ -502,15 +493,7 @@ def _print_steal_summary(
 
 def _cmd_shard_steal(args: argparse.Namespace) -> int:
     plan = shards.ShardPlan.load(args.plan)
-    retry = (
-        RetryPolicy()
-        if args.max_retries is None
-        else RetryPolicy(max_retries=args.max_retries)
-    )
-    policy = SupervisorPolicy(
-        session_timeout=args.session_timeout, retry=retry
-    )
-    policy.validate()
+    policy = _supervisor_policy(args)
     summary, _splan = shards.steal_shard(
         plan,
         args.index,
@@ -1238,6 +1221,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _supervisor_policy(args: argparse.Namespace) -> SupervisorPolicy:
+    """The policy ``--session-timeout``/``--max-retries`` ask for.
+
+    Raises:
+        ConfigError: on an invalid value.
+    """
+    policy = SupervisorPolicy(
+        session_timeout=getattr(args, "session_timeout", None)
+    )
+    retries = getattr(args, "max_retries", None)
+    if retries is not None:
+        policy = dataclasses.replace(policy, max_retries=retries)
+    policy.validate()
+    return policy
+
+
 def _build_supervision(
     args: argparse.Namespace, raw_argv: list[str]
 ) -> tuple[SupervisorPlan | None, RunManifest | None]:
@@ -1246,37 +1245,27 @@ def _build_supervision(
     Raises:
         ConfigError: on invalid ``--session-timeout``/``--max-retries``.
     """
-    timeout = getattr(args, "session_timeout", None)
-    retries = getattr(args, "max_retries", None)
     manifest_arg = getattr(args, "manifest", None)
-    if timeout is None and retries is None and manifest_arg is None:
+    if (
+        getattr(args, "session_timeout", None) is None
+        and getattr(args, "max_retries", None) is None
+        and manifest_arg is None
+    ):
         return None, None
-    retry = (
-        RetryPolicy()
-        if retries is None
-        else RetryPolicy(max_retries=retries)
+    policy = _supervisor_policy(args)
+    knobs = dict(
+        argv=raw_argv,
+        command=args.command,
+        workers=max(1, args.workers),
+        session_timeout=policy.session_timeout,
+        max_retries=policy.max_retries,
     )
-    policy = SupervisorPolicy(session_timeout=timeout, retry=retry)
-    policy.validate()
     if manifest_arg is not None:
-        manifest = RunManifest.create(
-            Path(manifest_arg),
-            argv=raw_argv,
-            command=args.command,
-            workers=max(1, args.workers),
-            session_timeout=timeout,
-            max_retries=retry.max_retries,
-        )
+        manifest = RunManifest.create(Path(manifest_arg), **knobs)
     else:
         run_id = new_run_id(raw_argv)
         manifest = RunManifest(
-            manifest_dir() / f"{run_id}.json",
-            run_id=run_id,
-            argv=raw_argv,
-            command=args.command,
-            workers=max(1, args.workers),
-            session_timeout=timeout,
-            max_retries=retry.max_retries,
+            manifest_dir() / f"{run_id}.json", run_id=run_id, **knobs
         )
     manifest.save(force=True)
     print(

@@ -83,10 +83,6 @@ class WorkerCrashError(ExecutionError):
     """A worker process died (OOM-kill, segfault, SIGKILL)."""
 
 
-class BatchInterrupted(ExecutionError):
-    """A batch was cancelled by SIGINT before it completed."""
-
-
 class LeaseConflictError(ExecutionError):
     """Two workers contend for the same shard cells.
 

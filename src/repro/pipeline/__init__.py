@@ -11,7 +11,7 @@ from .results import (
     SessionResult,
     TimeseriesSample,
 )
-from .runner import run_policies, run_repetitions, run_session
+from .runner import run_session
 from .session import RtcSession
 from .shards import (
     MergeSummary,
@@ -26,16 +26,14 @@ from .shards import (
 )
 from .supervisor import (
     FailedSession,
-    RetryPolicy,
     Supervisor,
     SupervisorPlan,
     SupervisorPolicy,
     SupervisorStats,
     failure_label,
     split_failures,
-    supervised_run_many,
 )
-from .sweeps import ComparisonRow, compare_point, sweep, sweep_metric
+from .sweeps import ComparisonRow
 
 __all__ = [
     "ComparisonRow",
@@ -47,7 +45,6 @@ __all__ = [
     "NetworkConfig",
     "PolicyName",
     "ResultCache",
-    "RetryPolicy",
     "RtcSession",
     "RunManifest",
     "SessionConfig",
@@ -62,7 +59,6 @@ __all__ = [
     "TimeseriesSample",
     "VideoConfig",
     "build_plan",
-    "compare_point",
     "config_hash",
     "configure",
     "failure_label",
@@ -72,14 +68,9 @@ __all__ = [
     "merge_shards",
     "render_merged",
     "run_many",
-    "run_policies",
-    "run_repetitions",
     "run_session",
     "run_shard",
     "shard_dir",
     "shard_status",
     "split_failures",
-    "supervised_run_many",
-    "sweep",
-    "sweep_metric",
 ]

@@ -412,12 +412,6 @@ class RunManifest:
             "renewed": time.time(),
         }
 
-    def release_lease(self) -> None:
-        """Stop advertising liveness (clean completion or interrupt)."""
-        if self.lease is not None:
-            self.lease = None
-            self.save(force=True)
-
     def heartbeat(self) -> None:
         """Renew the lease if a third of its TTL has passed.
 

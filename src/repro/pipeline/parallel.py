@@ -1,4 +1,4 @@
-"""Parallel session execution with persistent result caching.
+"""Batch session execution with persistent result caching.
 
 Every evaluation artifact in this repo — Table 1, the figures, the
 ablations and extensions — is a batch of independent, deterministic
@@ -6,9 +6,8 @@ ablations and extensions — is a batch of independent, deterministic
 shape a first-class API:
 
 * :func:`run_many` maps a batch of :class:`SessionConfig`s to
-  :class:`SessionResult`s through a pluggable executor backend
-  (:class:`SerialBackend` or a ``ProcessPoolExecutor``-based
-  :class:`ProcessBackend`);
+  :class:`SessionResult`s, inline or through the worker pool of
+  :class:`~repro.pipeline.supervisor.Supervisor`;
 * :class:`ResultCache` persists results on disk keyed by a stable
   content hash of the config (dataclass → canonical JSON → sha256), so
   re-running an experiment with an unchanged config is a file read.
@@ -35,18 +34,15 @@ import os
 import re
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
-
-if TYPE_CHECKING:
-    from .supervisor import SupervisorPlan
+from typing import Callable, Iterable
 
 from ..errors import ConfigError
 from ..traces.bandwidth import BandwidthTrace
 from .config import SessionConfig
 from .results import SessionResult
-from .session import RtcSession
+from .runner import run_session
+from .supervisor import FailedSession, Supervisor, SupervisorPlan
 
 #: Bumped whenever the serialized result layout or the simulation's
 #: observable outputs change; stale cache entries are simply missed.
@@ -209,7 +205,8 @@ def config_hash(config: object) -> str:
 # Persistent result cache
 # ----------------------------------------------------------------------
 #: An entry's file name. ``*.json`` alone also matches the ``.tmp-*.json``
-#: file a ``put`` killed before its rename leaves behind.
+#: file a ``put`` killed before its rename leaves behind, and whatever
+#: else a user keeps in the directory.
 _ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
@@ -347,18 +344,20 @@ class ResultCache:
 
         Returns how many entries were removed; the ``.tmp-*.json`` files
         a ``put`` killed before its rename leaves behind are deleted too
-        but not counted.
+        but not counted. Other files in the directory are left alone.
         """
         removed = 0
         if not self.root.is_dir():
             return 0
         for path in self.root.glob("*.json"):
+            entry = _ENTRY_NAME.fullmatch(path.name) is not None
+            if not entry and not path.name.startswith(".tmp-"):
+                continue
             try:
                 path.unlink()
             except OSError:
                 continue
-            if _ENTRY_NAME.fullmatch(path.name):
-                removed += 1
+            removed += entry
         return removed
 
     def __len__(self) -> int:
@@ -369,80 +368,6 @@ class ResultCache:
             1 for path in self.root.glob("*.json")
             if _ENTRY_NAME.fullmatch(path.name)
         )
-
-
-# ----------------------------------------------------------------------
-# Executor backends
-# ----------------------------------------------------------------------
-def _run_session_to_dict(config: object) -> dict:
-    """Worker entry point: run one config, return its serialized form.
-
-    Returning plain dicts (not the result object) keeps the
-    parent/worker boundary robust: only JSON-ready primitives cross it,
-    and the parent reconstructs through the same ``from_dict`` path the
-    cache uses. Dispatch happens through the config-type registry:
-    unpickling the config argument imports its defining module, which
-    registers the type before this function runs.
-    """
-    return run_config(config).to_dict()
-
-
-class Executor(Protocol):
-    """Maps a batch of configs to results, preserving input order."""
-
-    def run(self, configs: Sequence[object]) -> list[object]: ...
-
-
-class SerialBackend:
-    """In-process execution, one config at a time."""
-
-    def run(self, configs: Sequence[object]) -> list[object]:
-        return [run_config(config) for config in configs]
-
-
-class ProcessBackend:
-    """``ProcessPoolExecutor`` execution across ``workers`` processes.
-
-    Results come back as serialized dicts and are rebuilt in the
-    parent, so the output is bit-identical to the cache-hit path and
-    to a serial run (sessions are fully deterministic per config).
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers!r}")
-        self.workers = workers
-
-    def run(self, configs: Sequence[object]) -> list[object]:
-        if not configs:
-            return []
-        chunksize = max(1, len(configs) // (self.workers * 4))
-        pool = ProcessPoolExecutor(max_workers=self.workers)
-        try:
-            payloads = pool.map(
-                _run_session_to_dict, configs, chunksize=chunksize
-            )
-            results = [
-                result_from_dict(config, payload)
-                for config, payload in zip(configs, payloads)
-            ]
-        except KeyboardInterrupt:
-            # Ctrl-C: drop pending work and kill the workers instead of
-            # unwinding with a pool-internals traceback. The CLI maps
-            # the re-raised interrupt to exit code 130.
-            from .supervisor import terminate_pool
-
-            terminate_pool(pool)
-            raise
-        pool.shutdown(wait=True)
-        return results
-
-
-def make_backend(workers: int) -> Executor:
-    """Serial backend for ``workers <= 1``, process pool otherwise."""
-    if workers <= 1:
-        return SerialBackend()
-    return ProcessBackend(workers)
 
 
 # ----------------------------------------------------------------------
@@ -463,11 +388,11 @@ class ExecutionContext:
 
     workers: int = 1
     cache: ResultCache | None = None
-    #: When set, every batch routes through the supervised executor
-    #: (timeouts, retries, quarantine, manifest) — see
-    #: :mod:`repro.pipeline.supervisor`. ``None`` (the default) keeps
-    #: the original fail-fast behavior bit for bit.
-    supervisor: "SupervisorPlan | None" = None
+    #: The default ``plan`` of :func:`run_many`: when set, every batch
+    #: is supervised (timeouts, retries, quarantine, manifest) — see
+    #: :mod:`repro.pipeline.supervisor`. ``None`` (the default) fails
+    #: fast.
+    supervisor: SupervisorPlan | None = None
 
 
 _context = ExecutionContext()
@@ -476,7 +401,7 @@ _context = ExecutionContext()
 def configure(
     workers: int | None = None,
     cache: ResultCache | None | object = _UNSET,
-    supervisor: "SupervisorPlan | None | object" = _UNSET,
+    supervisor: SupervisorPlan | None | object = _UNSET,
 ) -> ExecutionContext:
     """Set process-wide execution defaults; returns the live context."""
     if workers is not None:
@@ -500,13 +425,18 @@ def run_many(
     workers: int | None = None,
     cache: ResultCache | None | object = _UNSET,
     progress: Callable[[int, int], None] | None = None,
+    plan: SupervisorPlan | None = None,
 ) -> list[object]:
     """Run a batch of registered configs; results in input order.
 
-    Cached results are loaded first; only misses are executed (serially
-    for ``workers <= 1``, in a process pool otherwise) and then stored
-    back. ``workers``/``cache`` default to the process-wide context set
-    via :func:`configure` (serial, no cache, out of the box).
+    Cached results are loaded first, and each executed result is stored
+    as soon as it finishes, so a batch that fails or is interrupted
+    keeps every cell that completed. Misses run inline when
+    ``workers <= 1`` and no plan is set; otherwise they go to the
+    :class:`~repro.pipeline.supervisor.Supervisor`'s worker pool.
+    Without a plan the first failure propagates (in a pool, after the
+    pool is killed). Under a plan, failures are retried and quarantined
+    per its policy, and every transition lands in its manifest.
 
     Args:
         configs: session configs to run.
@@ -515,69 +445,75 @@ def run_many(
             leave unset to use the configured default.
         progress: optional ``callback(done, total)`` fired after the
             cache scan and after the execution phase.
+        plan: a :class:`~repro.pipeline.supervisor.SupervisorPlan`;
+            ``None`` uses the configured default (none, out of the box).
 
     Returns:
         One :class:`SessionResult` per config, aligned with the input.
-        Under a configured :class:`~repro.pipeline.supervisor.SupervisorPlan`,
-        permanently-failing configs come back as
+        Under a plan, permanently-failing configs come back as
         :class:`~repro.pipeline.supervisor.FailedSession` placeholders
         instead of raising (graceful degradation).
     """
     batch = list(configs)
-    effective_workers = (
-        workers if workers is not None else _context.workers
-    )
-    effective_cache = (
-        _context.cache if cache is _UNSET else cache
-    )
+    if workers is None:
+        workers = _context.workers
+    if cache is _UNSET:
+        cache = _context.cache
+    if plan is None:
+        plan = _context.supervisor
+    manifest = None if plan is None else plan.manifest
+    hashes = None
+    if plan is not None:
+        hashes = [config_hash(config) for config in batch]
+        if manifest is not None:
+            for config, digest in zip(batch, hashes):
+                manifest.ensure(digest, config_to_dict(config))
 
-    if _context.supervisor is not None:
-        from .supervisor import supervised_run_many
-
-        return supervised_run_many(
-            batch,
-            workers=effective_workers,
-            cache=effective_cache,
-            plan=_context.supervisor,
-            progress=progress,
-        )
-
-    results: list[object | None] = [None] * len(batch)
+    results: list[object] = [None] * len(batch)
     misses: list[int] = []
-    if effective_cache is not None:
-        for index, config in enumerate(batch):
-            hit = effective_cache.get(config)
-            if hit is not None:
-                results[index] = hit
-            else:
-                misses.append(index)
-    else:
-        misses = list(range(len(batch)))
+    for index, config in enumerate(batch):
+        hit = None if cache is None else cache.get(config)
+        if hit is None:
+            misses.append(index)
+            continue
+        results[index] = hit
+        if plan is not None:
+            plan.stats.cached += 1
+            if manifest is not None:
+                manifest.mark_ok(hashes[index], cached=True)
 
     if progress is not None:
         progress(len(batch) - len(misses), len(batch))
 
-    if misses:
-        backend = make_backend(effective_workers)
-        fresh = backend.run([batch[i] for i in misses])
-        for index, result in zip(misses, fresh):
+    if plan is None and workers <= 1:
+        for index in misses:
+            result = run_config(batch[index])
             results[index] = result
-            if effective_cache is not None:
-                effective_cache.put(batch[index], result)
+            if cache is not None:
+                cache.put(batch[index], result)
+    elif misses:
+        if hashes is None:  # no plan: only the misses need a hash
+            hashes = {index: config_hash(batch[index]) for index in misses}
+        outcomes = Supervisor(max(1, workers), plan, cache).run(
+            [(index, batch[index], hashes[index]) for index in misses]
+        )
+        for index, outcome in outcomes.items():
+            results[index] = outcome
+
+    if manifest is not None:
+        failed = any(isinstance(r, FailedSession) for r in results)
+        manifest.finish(
+            "partial" if failed else "complete", plan.stats.to_counters()
+        )
 
     if progress is not None:
         progress(len(batch), len(batch))
-
-    return results  # type: ignore[return-value]
+    return results
 
 
 # ----------------------------------------------------------------------
 # Built-in config types
 # ----------------------------------------------------------------------
-def _run_rtc_session(config: SessionConfig) -> SessionResult:
-    return RtcSession(config).run()
-
-
 def _session_cost(config: SessionConfig) -> float:
     """Wall cost scales with simulated time and active fault windows.
 
@@ -593,7 +529,7 @@ def _session_cost(config: SessionConfig) -> float:
 # register themselves in their defining modules.
 register_config_type(
     SessionConfig,
-    run=_run_rtc_session,
+    run=run_session,
     from_dict=SessionResult.from_dict,
     cost=_session_cost,
 )

@@ -1,18 +1,15 @@
 """Experiment runner helpers.
 
 Thin functions over :class:`~repro.pipeline.session.RtcSession` used by
-the examples, benchmarks, and experiment modules. Batch helpers submit
-their whole config set through :func:`repro.pipeline.parallel.run_many`,
-so they transparently pick up worker pools and the persistent result
+the examples, benchmarks, and experiment modules. Batches go through
+:func:`repro.pipeline.parallel.run_many`, which runs each config with
+:func:`run_session` and adds the worker pool and the persistent result
 cache configured via :func:`repro.pipeline.parallel.configure`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from .config import PolicyName, SessionConfig
-from .parallel import run_many
+from .config import SessionConfig
 from .results import SessionResult
 from .session import RtcSession
 
@@ -20,32 +17,3 @@ from .session import RtcSession
 def run_session(config: SessionConfig) -> SessionResult:
     """Build and run a single session (always in-process, uncached)."""
     return RtcSession(config).run()
-
-
-def run_policies(
-    config: SessionConfig,
-    policies: list[PolicyName],
-    workers: int | None = None,
-) -> dict[PolicyName, SessionResult]:
-    """Run the same scenario (same seed, same content, same capacity)
-    under several policies."""
-    variants = [
-        dataclasses.replace(config, policy=policy) for policy in policies
-    ]
-    results = run_many(variants, workers=workers)
-    return dict(zip(policies, results))
-
-
-def run_repetitions(
-    config: SessionConfig,
-    repetitions: int,
-    seed_base: int | None = None,
-    workers: int | None = None,
-) -> list[SessionResult]:
-    """Run the same configured scenario under several seeds."""
-    base = seed_base if seed_base is not None else config.seed
-    variants = [
-        dataclasses.replace(config, seed=base + i)
-        for i in range(repetitions)
-    ]
-    return run_many(variants, workers=workers)

@@ -16,8 +16,9 @@ Three phases, each a CLI subcommand:
   ``K`` — the same inputs always serialize to byte-identical plan
   files, so every host can regenerate the plan locally instead of
   shipping it around.
-* **run** — :func:`run_shard` executes one shard's cells through the
-  supervised executor, writing a per-shard
+* **run** — :func:`run_shard` executes one shard's cells through
+  :func:`~repro.pipeline.parallel.run_many` under a supervisor plan,
+  writing a per-shard
   :class:`~repro.pipeline.manifest.RunManifest` and
   :class:`~repro.pipeline.parallel.ResultCache` under
   ``<base>/shard-NNN/``. A killed shard resumes from its own manifest
@@ -78,13 +79,12 @@ from .manifest import (
     host_tag,
     lease_state,
 )
-from .parallel import ResultCache, config_hash, estimate_cost
+from .parallel import ResultCache, config_hash, estimate_cost, run_many
 from .supervisor import (
     FailedSession,
     SupervisorPlan,
     SupervisorPolicy,
     split_failures,
-    supervised_run_many,
 )
 
 #: Plan file layout version. v2 added cost-weighted striping: explicit
@@ -711,7 +711,7 @@ def run_shard(
     manifest_path: Path | str | None = None,
     lease_ttl: float | None = DEFAULT_LEASE_TTL,
 ) -> tuple[list[object], SupervisorPlan]:
-    """Execute one shard under the supervised executor.
+    """Execute one shard through ``run_many`` under a supervisor plan.
 
     Writes ``<base>/shard-NNN/manifest.json`` and fills
     ``<base>/shard-NNN/cache/``. Re-invoking on an existing shard
@@ -732,36 +732,60 @@ def run_shard(
     quarantined cells as :class:`FailedSession`) and the supervisor
     plan, whose stats drive the CLI's exit code.
     """
-    cells = plan.cell_indices(index)
     configs = plan.configs()
     directory = shard_dir(base_dir, index)
-    cache = ResultCache(directory / "cache")
-    cache.ensure_writable()
-    supervisor_policy = policy if policy is not None else SupervisorPolicy()
-    supervisor_policy.validate()
-    manifest = RunManifest.create(
-        Path(manifest_path)
+    results, supervisor_plan, _cache = _run_supervised(
+        [configs[i] for i in plan.cell_indices(index)],
+        directory,
+        manifest_path=Path(manifest_path)
         if manifest_path is not None
         else directory / "manifest.json",
-        argv=argv,
         command="shard",
+        workers=workers,
+        policy=policy,
+        argv=argv,
+        lease_ttl=lease_ttl,
+    )
+    return results, supervisor_plan
+
+
+def _run_supervised(
+    configs: list[object],
+    directory: Path,
+    manifest_path: Path,
+    command: str,
+    workers: int,
+    policy: SupervisorPolicy | None,
+    argv: list[str] | None,
+    lease_ttl: float | None,
+) -> tuple[list[object], SupervisorPlan, ResultCache]:
+    """Run a shard's (or a stealer's) cells through :func:`run_many`.
+
+    The cache is ``<directory>/cache``; the manifest at
+    ``manifest_path`` records ``command`` and carries a heartbeat lease
+    unless ``lease_ttl`` is ``None``. Returns the results, the plan
+    whose stats and manifest describe the run, and the cache.
+    """
+    cache = ResultCache(directory / "cache")
+    cache.ensure_writable()
+    policy = policy if policy is not None else SupervisorPolicy()
+    policy.validate()
+    manifest = RunManifest.create(
+        manifest_path,
+        argv=argv,
+        command=command,
         workers=max(1, workers),
-        session_timeout=supervisor_policy.session_timeout,
-        max_retries=supervisor_policy.retry.max_retries,
+        session_timeout=policy.session_timeout,
+        max_retries=policy.max_retries,
     )
     if lease_ttl is not None:
         manifest.enable_lease(ttl=lease_ttl)
     manifest.save(force=True)
-    supervisor_plan = SupervisorPlan(
-        policy=supervisor_policy, manifest=manifest
+    supervisor_plan = SupervisorPlan(policy=policy, manifest=manifest)
+    results = run_many(
+        configs, workers=max(1, workers), cache=cache, plan=supervisor_plan
     )
-    results = supervised_run_many(
-        [configs[i] for i in cells],
-        workers=max(1, workers),
-        cache=cache,
-        plan=supervisor_plan,
-    )
-    return results, supervisor_plan
+    return results, supervisor_plan, cache
 
 
 # ----------------------------------------------------------------------
@@ -1011,29 +1035,15 @@ def steal_shard(
         )
     configs = plan.configs()
     directory = shard_dir(base_dir, index)
-    cache = ResultCache(directory / "cache")
-    cache.ensure_writable()
-    supervisor_policy = policy if policy is not None else SupervisorPolicy()
-    supervisor_policy.validate()
-    manifest = RunManifest.create(
-        directory / "manifest.json",
-        argv=argv,
-        command="shard-steal",
-        workers=max(1, workers),
-        session_timeout=supervisor_policy.session_timeout,
-        max_retries=supervisor_policy.retry.max_retries,
-    )
-    if lease_ttl is not None:
-        manifest.enable_lease(ttl=lease_ttl)
-    manifest.save(force=True)
-    supervisor_plan = SupervisorPlan(
-        policy=supervisor_policy, manifest=manifest
-    )
-    results = supervised_run_many(
+    results, supervisor_plan, cache = _run_supervised(
         [configs[cell] for cell in claimed],
-        workers=max(1, workers),
-        cache=cache,
-        plan=supervisor_plan,
+        directory,
+        manifest_path=directory / "manifest.json",
+        command="shard-steal",
+        workers=workers,
+        policy=policy,
+        argv=argv,
+        lease_ttl=lease_ttl,
     )
     for cell in claimed:
         digest = plan.hashes[cell]

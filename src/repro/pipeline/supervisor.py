@@ -1,9 +1,11 @@
-"""Supervised batch execution: timeouts, retries, respawn, quarantine.
+"""The worker pool behind :func:`~repro.pipeline.parallel.run_many`.
 
-:func:`~repro.pipeline.parallel.run_many` maps configs to results fast,
-but one hung or SIGKILLed worker aborts the whole batch and throws away
-every finished session. This module wraps the same batch shape in a
-:class:`Supervisor` that is engineered to **finish** and to tell the
+``run_many`` runs a batch's cache misses inline when it has one worker
+and no :class:`SupervisorPlan`; every other batch comes here. The
+:class:`Supervisor` owns the repo's one process pool.
+
+Without a plan it fails fast: the first failure kills the pool and
+propagates. Under a plan it is engineered to **finish** and to tell the
 truth about what didn't:
 
 * per-session **wall-clock timeouts** (a hung worker forfeits its cell
@@ -19,12 +21,12 @@ truth about what didn't:
   and the batch completes;
 * a persistent :class:`~repro.pipeline.manifest.RunManifest` updated
   atomically at every transition, enabling ``repro-rtc resume``;
-* ``supervisor.*`` telemetry counters (retries, timeouts,
-  pool_restarts, …) mirrored into :class:`SupervisorStats`.
+* run-wide counters (retries, timeouts, pool_restarts, …) in
+  :class:`SupervisorStats`.
 
 Completed results are written to the :class:`ResultCache` *as they
 finish*, so an interrupted batch loses only its in-flight cells. On the
-failure-free path the output is bit-identical to an unsupervised run:
+failure-free path the output is bit-identical to an inline run:
 results cross the worker boundary through the same
 ``to_dict``/``from_dict`` serialization the cache uses.
 """
@@ -52,9 +54,7 @@ from ..errors import (
     WorkerCrashError,
     classify_error,
 )
-from ..telemetry.recorder import Telemetry
 from . import chaosharness
-from .config import SessionConfig
 from .manifest import RunManifest
 from .results import SessionResult
 
@@ -65,12 +65,14 @@ from .results import SessionResult
 def _supervised_worker(config: object, config_hash: str) -> dict:
     """Run one config in a worker; serialized dict crosses the boundary.
 
-    The self-chaos harness hook runs first so tests/CI can sabotage
-    exactly this execution (kill, hang, raise) — see
+    Returning plain dicts keeps the parent/worker boundary robust: the
+    parent rebuilds the result through the same ``from_dict`` path the
+    cache uses. The self-chaos harness hook runs first so tests/CI can
+    sabotage exactly this execution (kill, hang, raise) — see
     :mod:`repro.pipeline.chaosharness`. Execution dispatches through
-    the config-type registry (:mod:`repro.pipeline.parallel`), so any
-    registered config class — session or fleet — runs under
-    supervision.
+    the config-type registry (:mod:`repro.pipeline.parallel`):
+    unpickling the config imports its defining module, which registers
+    the type.
     """
     from .parallel import run_config
 
@@ -82,45 +84,43 @@ def _supervised_worker(config: object, config_hash: str) -> dict:
 # ----------------------------------------------------------------------
 # Policy objects
 # ----------------------------------------------------------------------
+#: Retry backoff: retry ``n`` of a cell waits ``min(BACKOFF_CAP,
+#: BACKOFF_BASE * BACKOFF_MULTIPLIER**(n-1))`` seconds, stretched by up
+#: to ``JITTER`` of itself. The stretch comes from a hash of the cell
+#: and ``n``: stable across reruns (no wall-clock randomness), different
+#: across cells (no thundering herd).
+BACKOFF_BASE = 0.5
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP = 30.0
+JITTER = 0.5
+
+
+def retry_delay(key: str, attempt: int) -> float:
+    """Backoff before retry number ``attempt`` (1-based) of ``key``."""
+    raw = min(BACKOFF_CAP, BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempt - 1))
+    digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
+    unit = int.from_bytes(digest[:8], "big") / 2**64
+    return raw * (1.0 + JITTER * unit)
+
+
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
+class SupervisorPolicy:
+    """The supervision knobs for one run."""
 
-    Attempt ``n``'s retry delay is
-    ``min(cap, base * multiplier**(n-1)) * (1 + jitter * u)`` where
-    ``u ∈ [0, 1)`` is derived from a hash of ``(key, n)`` — stable
-    across reruns (no wall-clock randomness), different across cells
-    (no thundering herd).
-    """
-
+    session_timeout: float | None = None
     max_retries: int = 2
-    backoff_base: float = 0.5
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 30.0
-    jitter: float = 0.5
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` on bad values."""
+        if self.session_timeout is not None and self.session_timeout <= 0:
+            raise ConfigError(
+                f"session timeout must be positive, got "
+                f"{self.session_timeout!r}"
+            )
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries!r}"
             )
-        if self.backoff_base <= 0 or self.backoff_cap <= 0:
-            raise ConfigError("backoff base/cap must be positive")
-        if self.backoff_multiplier < 1:
-            raise ConfigError("backoff_multiplier must be >= 1")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be >= 0")
-
-    def delay(self, key: str, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (1-based) of ``key``."""
-        raw = min(
-            self.backoff_cap,
-            self.backoff_base * self.backoff_multiplier ** (attempt - 1),
-        )
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64
-        return raw * (1.0 + self.jitter * unit)
 
     def allows(self, error_class: ErrorClass, attempts: int) -> bool:
         """Whether a cell with ``attempts`` failures may try again."""
@@ -132,23 +132,6 @@ class RetryPolicy:
             # another live worker — neither improves with retries.
             return False
         return attempts <= self.max_retries
-
-
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """The supervision knobs for one run."""
-
-    session_timeout: float | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` on bad values."""
-        if self.session_timeout is not None and self.session_timeout <= 0:
-            raise ConfigError(
-                f"session timeout must be positive, got "
-                f"{self.session_timeout!r}"
-            )
-        self.retry.validate()
 
 
 @dataclass
@@ -165,7 +148,7 @@ class SupervisorStats:
     quarantined: int = 0
 
     def to_counters(self) -> dict[str, int]:
-        """``supervisor.*`` telemetry-counter view."""
+        """``supervisor.*`` counter view (stderr and manifest ``stats``)."""
         return {
             f"supervisor.{f.name}": getattr(self, f.name)
             for f in dataclasses.fields(self)
@@ -174,19 +157,16 @@ class SupervisorStats:
 
 @dataclass
 class SupervisorPlan:
-    """Everything :func:`supervised_run_many` needs, bundled so the CLI
-    can configure it once (via the execution context) and every
-    experiment driver underneath inherits it."""
+    """A supervised run: its policy, manifest and stats.
+
+    Pass it to :func:`~repro.pipeline.parallel.run_many` as ``plan``, or
+    configure it once on the execution context so that every experiment
+    driver underneath inherits it. Stats accumulate across batches.
+    """
 
     policy: SupervisorPolicy = field(default_factory=SupervisorPolicy)
     manifest: RunManifest | None = None
     stats: SupervisorStats = field(default_factory=SupervisorStats)
-    telemetry: Telemetry = field(default_factory=Telemetry)
-
-    def sync_telemetry(self) -> None:
-        """Mirror the stats into ``supervisor.*`` telemetry gauges."""
-        for name, value in self.stats.to_counters().items():
-            self.telemetry.gauge(name, float(value))
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +256,7 @@ class _Cell:
 
     __slots__ = ("index", "config", "hash", "attempts")
 
-    def __init__(self, index: int, config: SessionConfig, digest: str):
+    def __init__(self, index: int, config: object, digest: str):
         self.index = index
         self.config = config
         self.hash = digest
@@ -308,32 +288,33 @@ _MAX_TICK = 0.5
 
 
 class Supervisor:
-    """Drives one batch of cells to completion through a worker pool."""
+    """Drives one batch of cells to completion through a worker pool.
+
+    Without a ``plan`` the first failure kills the pool and propagates
+    (no timeout, no retry). With one, its policy times out, retries and
+    quarantines cells, its stats count what happened, and every
+    transition lands in its manifest.
+    """
 
     def __init__(
         self,
         workers: int,
-        policy: SupervisorPolicy,
-        stats: SupervisorStats,
-        manifest: RunManifest | None = None,
+        plan: SupervisorPlan | None = None,
         cache=None,
-        telemetry: Telemetry | None = None,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers!r}")
-        policy.validate()
+        self.fail_fast = plan is None
+        if plan is None:
+            plan = SupervisorPlan()
+        plan.policy.validate()
         self.workers = workers
-        self.policy = policy
-        self.stats = stats
-        self.manifest = manifest
+        self.policy = plan.policy
+        self.stats = plan.stats
+        self.manifest = plan.manifest
         self.cache = cache
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
 
     # ------------------------------------------------------------------
-    def _count(self, name: str, stat: str) -> None:
-        self.telemetry.count(name)
-        setattr(self.stats, stat, getattr(self.stats, stat) + 1)
-
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.workers)
 
@@ -353,17 +334,22 @@ class Supervisor:
         seq: list[int],
         outcomes: dict[int, object],
     ) -> None:
-        """Charge one failed attempt; schedule a retry or quarantine."""
+        """Charge one failed attempt; schedule a retry or quarantine.
+
+        Fail-fast (no plan): re-raise ``exc`` instead.
+        """
+        if self.fail_fast:
+            raise exc
         error_class = classify_error(exc)
         cell.attempts += 1
         if isinstance(exc, SessionTimeoutError):
-            self._count("supervisor.timeouts", "timeouts")
+            self.stats.timeouts += 1
         elif error_class is ErrorClass.INFRASTRUCTURE:
-            self._count("supervisor.crashes", "crashes")
+            self.stats.crashes += 1
         message = f"{type(exc).__name__}: {exc}"
-        if self.policy.retry.allows(error_class, cell.attempts):
-            delay = self.policy.retry.delay(cell.hash, cell.attempts)
-            self._count("supervisor.retries", "retries")
+        if self.policy.allows(error_class, cell.attempts):
+            delay = retry_delay(cell.hash, cell.attempts)
+            self.stats.retries += 1
             seq[0] += 1
             heapq.heappush(waiting, (now + delay, seq[0], cell))
             if self.manifest is not None:
@@ -378,7 +364,7 @@ class Supervisor:
                 message=str(exc),
                 attempts=cell.attempts,
             )
-            self._count("supervisor.quarantined", "quarantined")
+            self.stats.quarantined += 1
             if self.manifest is not None:
                 self.manifest.mark_quarantined(
                     cell.hash, error_class.value, message
@@ -391,7 +377,7 @@ class Supervisor:
         ready: deque,
     ) -> ProcessPoolExecutor:
         """Kill the pool; re-queue surviving cells without charging them."""
-        self._count("supervisor.pool_restarts", "pool_restarts")
+        self.stats.pool_restarts += 1
         for future, (cell, _deadline) in list(inflight.items()):
             ready.appendleft(cell)
             if self.manifest is not None:
@@ -402,13 +388,14 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def run(
-        self, cells: list[tuple[int, SessionConfig, str]]
+        self, cells: list[tuple[int, object, str]]
     ) -> dict[int, object]:
         """Execute cells; returns index → SessionResult | FailedSession.
 
-        On :class:`KeyboardInterrupt` the pool is killed, the manifest
-        is flushed with status ``interrupted``, and the interrupt
-        propagates (the CLI maps it to exit code 130).
+        Any exception that leaves this method kills the pool first. On
+        :class:`KeyboardInterrupt` the manifest is also flushed with
+        status ``interrupted`` (the CLI maps the interrupt to exit code
+        130).
         """
         outcomes: dict[int, object] = {}
         ready: deque[_Cell] = deque(
@@ -444,7 +431,7 @@ class Supervisor:
                         now + timeout if timeout is not None else None
                     )
                     inflight[future] = (cell, deadline)
-                    self._count("supervisor.executed", "executed")
+                    self.stats.executed += 1
                     if self.manifest is not None:
                         self.manifest.mark_running(cell.hash)
 
@@ -518,93 +505,18 @@ class Supervisor:
 
                 if broken or getattr(pool, "_broken", False):
                     pool = self._respawn(pool, inflight, ready)
-        except KeyboardInterrupt:
+        except BaseException as exc:
             terminate_pool(pool)
-            if self.manifest is not None:
+            manifest = self.manifest
+            if isinstance(exc, KeyboardInterrupt) and manifest is not None:
                 for cell in ready:
-                    self.manifest.requeue(cell.hash)
+                    manifest.requeue(cell.hash)
                 for _ready_time, _seq, cell in waiting:
-                    self.manifest.requeue(cell.hash)
+                    manifest.requeue(cell.hash)
                 for cell, _deadline in inflight.values():
-                    self.manifest.requeue(cell.hash)
-                self.manifest.finish(
-                    "interrupted", self.stats.to_counters()
-                )
+                    manifest.requeue(cell.hash)
+                manifest.finish("interrupted", self.stats.to_counters())
             raise
-        else:
-            pool.shutdown(wait=True)
+        pool.shutdown(wait=True)
         return outcomes
 
-
-# ----------------------------------------------------------------------
-# Batch API
-# ----------------------------------------------------------------------
-def supervised_run_many(
-    configs: Sequence[object],
-    workers: int,
-    cache,
-    plan: SupervisorPlan,
-    progress=None,
-) -> list[object]:
-    """The supervised counterpart of :func:`repro.pipeline.parallel.run_many`.
-
-    Same contract — results in input order, cache hits served first —
-    but permanent failures come back as :class:`FailedSession`
-    placeholders instead of exceptions, and every transition lands in
-    the plan's manifest. Called by ``run_many`` itself whenever a
-    :class:`SupervisorPlan` is configured on the execution context.
-    """
-    from .parallel import config_hash, config_to_dict
-
-    batch = list(configs)
-    hashes = [config_hash(config) for config in batch]
-    manifest = plan.manifest
-    if manifest is not None:
-        for config, digest in zip(batch, hashes):
-            manifest.ensure(digest, config_to_dict(config))
-
-    results: list[object] = [None] * len(batch)
-    misses: list[int] = []
-    if cache is not None:
-        for index, config in enumerate(batch):
-            hit = cache.get(config)
-            if hit is not None:
-                results[index] = hit
-                plan.stats.cached += 1
-                plan.telemetry.count("supervisor.cached")
-                if manifest is not None:
-                    manifest.mark_ok(hashes[index], cached=True)
-            else:
-                misses.append(index)
-    else:
-        misses = list(range(len(batch)))
-
-    if progress is not None:
-        progress(len(batch) - len(misses), len(batch))
-
-    if misses:
-        supervisor = Supervisor(
-            workers=max(1, workers),
-            policy=plan.policy,
-            stats=plan.stats,
-            manifest=manifest,
-            cache=cache,
-            telemetry=plan.telemetry,
-        )
-        outcomes = supervisor.run(
-            [(index, batch[index], hashes[index]) for index in misses]
-        )
-        for index in misses:
-            results[index] = outcomes[index]
-
-    if manifest is not None:
-        _ok, failed = split_failures(results)
-        manifest.finish(
-            "partial" if failed else "complete",
-            plan.stats.to_counters(),
-        )
-    plan.sync_telemetry()
-
-    if progress is not None:
-        progress(len(batch), len(batch))
-    return results

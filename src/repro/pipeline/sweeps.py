@@ -1,10 +1,9 @@
-"""Parameter sweeps over session configurations.
+"""Baseline-vs-adaptive comparison rows and the drop-severity sweep.
 
-Sweeps power the figure-style experiments: vary one knob (drop severity,
-RTT, detector settings), run baseline + adaptive per point, and collect
-comparison rows. All sessions of a sweep are submitted as one batch
-through :func:`repro.pipeline.parallel.run_many`, so a configured worker
-pool parallelizes across sweep points and policies at once.
+:class:`ComparisonRow` is one sweep point's outcome: baseline and
+adaptive latency and quality over the scenario's window. The
+drop-severity sweep (the shard fabric's ``sweep`` grid) is planned,
+folded into rows, and rendered here; the shard fabric runs it.
 """
 
 from __future__ import annotations
@@ -12,11 +11,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from ..errors import ConfigError
 from .config import PolicyName, SessionConfig
-from .parallel import run_many
 from .results import SessionResult
 from .supervisor import failure_label, split_failures
 
@@ -107,61 +104,6 @@ def _row_from_results(
         baseline_ssim=base.mean_displayed_ssim(),
         adaptive_ssim=adap.mean_displayed_ssim(),
     )
-
-
-def compare_point(
-    label: str,
-    config: SessionConfig,
-    window: tuple[float, float],
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> ComparisonRow:
-    """Run baseline and adaptive on one scenario point."""
-    base, adap = run_many(
-        [
-            dataclasses.replace(config, policy=baseline),
-            dataclasses.replace(config, policy=PolicyName.ADAPTIVE),
-        ]
-    )
-    return _row_from_results(label, base, adap, window)
-
-
-def sweep(
-    labels_and_configs: list[tuple[str, SessionConfig]],
-    window: tuple[float, float],
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> list[ComparisonRow]:
-    """Compare baseline vs adaptive across many scenario points.
-
-    The whole sweep (2 sessions per point) runs as a single batch.
-    """
-    batch: list[SessionConfig] = []
-    for _, config in labels_and_configs:
-        batch.append(dataclasses.replace(config, policy=baseline))
-        batch.append(
-            dataclasses.replace(config, policy=PolicyName.ADAPTIVE)
-        )
-    results = run_many(batch)
-    return [
-        _row_from_results(
-            label, results[2 * i], results[2 * i + 1], window
-        )
-        for i, (label, _) in enumerate(labels_and_configs)
-    ]
-
-
-def sweep_metric(
-    configs: list[SessionConfig],
-    metric: Callable[[SessionResult], float],
-) -> list[float]:
-    """Run each config (as one batch) and extract one scalar metric.
-
-    Quarantined sessions (supervised execution) yield NaN.
-    """
-    return [
-        metric(result) if isinstance(result, SessionResult)
-        else float("nan")
-        for result in run_many(configs)
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,27 @@
-"""Config hashing, the result cache, and result serialization."""
+"""Config hashing, the result cache, result serialization, run_many."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import pickle
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.experiments import robustness, scenarios
+from repro.pipeline import chaosharness, parallel
 from repro.pipeline.config import PolicyName, SessionConfig
 from repro.pipeline.parallel import (
     CACHE_SCHEMA_VERSION,
-    ProcessBackend,
     ResultCache,
-    SerialBackend,
     canonical_json,
     config_hash,
     config_to_dict,
+    config_type_spec,
     configure,
     execution_context,
-    make_backend,
     run_many,
 )
 from repro.pipeline.results import (
@@ -351,6 +351,19 @@ class TestResultCache:
         assert not orphan.exists()
         assert len(cache) == 0
 
+    def test_clear_leaves_foreign_files(self, tmp_path):
+        # A cache dir shared with other JSON files (a shard plan, the
+        # golden metrics) must lose only its entries.
+        cache = ResultCache(tmp_path)
+        config = short_config()
+        cache.put(config, run_session(config))
+        foreign = [tmp_path / "plan.json", tmp_path / "golden_metrics.json"]
+        for path in foreign:
+            path.write_text("{}", encoding="utf-8")
+        assert cache.clear() == 1
+        assert all(path.exists() for path in foreign)
+        assert len(cache) == 0
+
     def test_default_dir_honors_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
         assert ResultCache.default_dir() == tmp_path / "alt"
@@ -388,11 +401,40 @@ class TestRunMany:
         )
         assert calls == [(1, 2), (2, 2)]
 
-    def test_backend_selection(self):
-        assert isinstance(make_backend(1), SerialBackend)
-        assert isinstance(make_backend(4), ProcessBackend)
-        with pytest.raises(ConfigError):
-            ProcessBackend(0)
+    def test_serial_failure_keeps_finished_cells_cached(
+        self, tmp_path, monkeypatch
+    ):
+        spec = config_type_spec(short_config())
+
+        def run(config):
+            if config.seed == 3:
+                raise SimulationError("third cell fails")
+            return spec.run(config)
+
+        monkeypatch.setitem(
+            parallel._CONFIG_TYPES,
+            SessionConfig,
+            dataclasses.replace(spec, run=run),
+        )
+        cache = ResultCache(tmp_path)
+        configs = [short_config(seed=s) for s in (1, 2, 3)]
+        with pytest.raises(SimulationError):
+            run_many(configs, workers=1, cache=cache)
+        assert len(cache) == 2
+        assert cache.get(configs[0]) is not None
+        assert cache.get(configs[1]) is not None
+
+    def test_pool_failure_reraises_and_reaps_workers(self, monkeypatch):
+        configs = [short_config(seed=s) for s in (1, 2)]
+        rule = {
+            "action": "raise-deterministic",
+            "match": config_hash(configs[1]),
+            "times": -1,
+        }
+        monkeypatch.setenv(chaosharness.ENV_RULES, json.dumps([rule]))
+        with pytest.raises(SimulationError, match="injected"):
+            run_many(configs, workers=2, cache=None)
+        assert multiprocessing.active_children() == []
 
     def test_configure_sets_defaults(self, tmp_path):
         original = execution_context()

@@ -22,11 +22,12 @@ from repro.pipeline.manifest import (
     find_manifest,
     manifest_dir,
 )
+from repro.pipeline import supervisor
 from repro.pipeline.supervisor import (
     FailedSession,
-    RetryPolicy,
     SupervisorPolicy,
     failure_label,
+    retry_delay,
     split_failures,
 )
 from repro.pipeline.results import SessionResult
@@ -72,32 +73,29 @@ class TestClassifyError:
 # Retry policy
 # ----------------------------------------------------------------------
 class TestRetryPolicy:
-    def test_backoff_schedule_grows_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=1.0,
-            backoff_multiplier=2.0,
-            backoff_cap=5.0,
-            jitter=0.0,
-        )
-        delays = [policy.delay("k", n) for n in range(1, 6)]
+    def test_backoff_schedule_grows_and_caps(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 1.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_MULTIPLIER", 2.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_CAP", 5.0)
+        monkeypatch.setattr(supervisor, "JITTER", 0.0)
+        delays = [retry_delay("k", n) for n in range(1, 6)]
         assert delays == [1.0, 2.0, 4.0, 5.0, 5.0]
 
-    def test_jitter_bounds(self):
-        policy = RetryPolicy(
-            backoff_base=1.0, backoff_multiplier=1.0, jitter=0.5
-        )
+    def test_jitter_bounds(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "BACKOFF_BASE", 1.0)
+        monkeypatch.setattr(supervisor, "BACKOFF_MULTIPLIER", 1.0)
+        monkeypatch.setattr(supervisor, "JITTER", 0.5)
         for n in range(1, 20):
-            delay = policy.delay("cell", n)
+            delay = retry_delay("cell", n)
             assert 1.0 <= delay < 1.5
 
     def test_jitter_is_deterministic_per_key_and_attempt(self):
-        policy = RetryPolicy()
-        assert policy.delay("a", 1) == policy.delay("a", 1)
-        assert policy.delay("a", 1) != policy.delay("b", 1)
-        assert policy.delay("a", 1) != policy.delay("a", 2)
+        assert retry_delay("a", 1) == retry_delay("a", 1)
+        assert retry_delay("a", 1) != retry_delay("b", 1)
+        assert retry_delay("a", 1) != retry_delay("a", 2)
 
     def test_allows_respects_budget(self):
-        policy = RetryPolicy(max_retries=2)
+        policy = SupervisorPolicy(max_retries=2)
         assert policy.allows(ErrorClass.TRANSIENT, 1)
         assert policy.allows(ErrorClass.TRANSIENT, 2)
         assert not policy.allows(ErrorClass.TRANSIENT, 3)
@@ -105,23 +103,17 @@ class TestRetryPolicy:
         assert not policy.allows(ErrorClass.INFRASTRUCTURE, 3)
 
     def test_deterministic_failures_never_retry(self):
-        policy = RetryPolicy(max_retries=5)
+        policy = SupervisorPolicy(max_retries=5)
         assert not policy.allows(ErrorClass.DETERMINISTIC, 1)
 
     def test_zero_retries_quarantines_first_failure(self):
-        policy = RetryPolicy(max_retries=0)
+        policy = SupervisorPolicy(max_retries=0)
         assert not policy.allows(ErrorClass.TRANSIENT, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            RetryPolicy(max_retries=-1).validate()
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_base=0.0).validate()
-        with pytest.raises(ConfigError):
-            RetryPolicy(backoff_multiplier=0.5).validate()
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=-0.1).validate()
-        RetryPolicy().validate()
+            SupervisorPolicy(max_retries=-1).validate()
+        SupervisorPolicy().validate()
 
     def test_policy_timeout_validation(self):
         with pytest.raises(ConfigError):

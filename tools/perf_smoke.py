@@ -4,10 +4,11 @@
 Runs a pinned 5-session batch (the paper's step-drop scenario, both
 policies plus three drop severities) serially, measures end-to-end
 sessions/sec, and fails when throughput falls below a floor. The floor
-carries ~3x headroom over the optimized hot path measured on a
-single-core CI runner (see ``BENCH_hotpath.json``), so it only trips on
-a real hot-path regression — an accidental O(n^2) in the packet path,
-a dropped ``__slots__``, heap churn — not on runner jitter.
+carries over 3x headroom below the pinned batch's measured rate (see
+``DEFAULT_FLOOR``), so it only trips on a real hot-path regression — an
+accidental O(n^2) in the packet path, a dropped ``__slots__``, heap
+churn — not on runner jitter. End-to-end speed claims come from
+``perfbench/``.
 
 Also writes the ``repro-rtc profile`` JSON report for the first pinned
 session, so every CI run leaves a downloadable profile artifact to
