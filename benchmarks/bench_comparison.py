@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 from repro.experiments import comparison
+from repro.pipeline.parallel import run_many
 
 from conftest import emit
+
+SEEDS = (1, 2, 3)
+
+
+def _run_comparison(drop_ratio: float) -> list[comparison.PolicyRow]:
+    batch = comparison.plan_batch(drop_ratio, SEEDS)
+    return comparison.rows_from_results(run_many(batch), SEEDS)
 
 
 def test_comparison_severe_drop(benchmark, results_dir):
     rows = benchmark.pedantic(
-        lambda: comparison.run_comparison(drop_ratio=0.2),
+        lambda: _run_comparison(drop_ratio=0.2),
         rounds=1,
         iterations=1,
     )
@@ -40,7 +48,7 @@ def test_comparison_severe_drop(benchmark, results_dir):
 
 def test_comparison_mild_drop(benchmark, results_dir):
     rows = benchmark.pedantic(
-        lambda: comparison.run_comparison(drop_ratio=0.6),
+        lambda: _run_comparison(drop_ratio=0.6),
         rounds=1,
         iterations=1,
     )

@@ -30,6 +30,11 @@ Subcommands:
   byte-identical to a single-host serial run.
 * ``cache`` — inspect or clear the persistent result cache.
 
+``table1``, ``compare``, ``chaos`` and ``fleet`` are grids: each runs
+its :class:`~repro.pipeline.shards.GridDef` through
+:func:`~repro.pipeline.shards.run_grid`, the same definition ``shard
+plan`` partitions, so both routes print the same bytes.
+
 Global execution options (before the subcommand): ``--workers N`` fans
 the experiment's sessions out over N processes; results are reused from
 the persistent cache unless ``--no-cache`` is given. Parallel and cached
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -61,12 +67,10 @@ from .errors import (
 )
 from .experiments import (
     ablations,
-    comparison,
     figures,
     fleet,
     robustness,
     scenarios,
-    table1,
 )
 from .metrics.summary import format_series
 from .pipeline.config import PolicyName
@@ -123,19 +127,89 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    seeds = tuple(range(1, args.seeds + 1))
-    rows = table1.run_table(seeds=seeds)
-    text = table1.render(rows, args.format)
-    if args.output is None or args.output == "-":
+#: Grid params that a subcommand's ``--quick`` pins; they win over the
+#: matching flags.
+_QUICK = {
+    "chaos": {
+        "scenarios": ["steady"],
+        "faults": ["feedback_blackout", "capacity_outage"],
+        "policies": ["adaptive"],
+        "seeds": [1],
+        "duration": 14.0,
+    },
+    "fleet": {
+        "scenarios": ["steady", "regional_degradation"],
+        "seeds": [1],
+        "subscribers": 20,
+        "duration": 8.0,
+    },
+}
+
+#: Flags (argparse dests) that are grid params under the same name.
+_GRID_FLAGS = (
+    "ratios", "baseline", "drop_ratio", "policies", "scenarios",
+    "subscribers", "duration", "faults", "fault_at",
+)
+
+
+def _grid_params(args: argparse.Namespace) -> dict:
+    """The grid params the given flags ask for.
+
+    Grid flags default to ``None`` and are left out when unset, so each
+    grid's ``normalize`` is the one place its defaults live.
+    ``--seeds N`` means seeds ``1..N``; ``--quick`` applies a preset.
+    """
+    params = {
+        key: getattr(args, key)
+        for key in _GRID_FLAGS
+        if getattr(args, key, None) is not None
+    }
+    if getattr(args, "seeds", None) is not None:
+        params["seeds"] = list(range(1, args.seeds + 1))
+    if getattr(args, "quick", False):
+        params.update(_QUICK[args.grid])
+    return params
+
+
+def _write_output(text: str, output: str | None, what: str | None) -> None:
+    """Write ``text`` to stdout, or to the ``-o`` file with a note.
+
+    The note, ``wrote <what> to <file>``, goes to stderr; ``what=None``
+    writes none.
+    """
+    if output is None or output == "-":
         sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(rows)} rows to {args.output}", file=sys.stderr
-        )
-    return 0
+        return
+    with open(output, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    if what is not None:
+        print(f"wrote {what} to {output}", file=sys.stderr)
+
+
+#: What a grid subcommand's ``-o`` note counts: a noun, and the params
+#: whose lengths multiply to the count.
+_REPORT_UNITS = {
+    "table1": ("rows", ("ratios",)),
+    "chaos": ("cells", ("scenarios", "faults", "policies")),
+    "fleet": ("fleet cells", ("scenarios", "seeds")),
+}
+
+
+def _cmd_grid(args: argparse.Namespace) -> int:
+    """Run the grid ``args.grid`` through :func:`shards.run_grid`.
+
+    A quarantined cell does not change the return code here: ``main``
+    turns the supervision plan's quarantine count into
+    ``EXIT_PARTIAL``.
+    """
+    params = shards.grid_def(args.grid).normalize(_grid_params(args))
+    text, _quarantined = shards.run_grid(args.grid, params, args.format)
+    what = None
+    if args.grid in _REPORT_UNITS:
+        noun, keys = _REPORT_UNITS[args.grid]
+        what = f"{math.prod(len(params[key]) for key in keys)} {noun}"
+    _write_output(text, args.output, what)
+    return EXIT_OK
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -149,18 +223,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     for name, series in series_map.items():
         print(format_series(name, series.x, series.y, "x", "y"))
         print()
-    return 0
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = comparison.run_comparison(
-        drop_ratio=args.drop_ratio, seeds=tuple(range(1, args.seeds + 1))
-    )
-    print(
-        comparison.format_comparison(
-            rows, comparison.comparison_title(args.drop_ratio)
-        )
-    )
     return 0
 
 
@@ -240,16 +302,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except ReproError as exc:  # unknown --series name
         print(f"repro-rtc: error: {exc}", file=sys.stderr)
         return 2
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(result.traces.series_names())} series to "
-            f"{args.output}",
-            file=sys.stderr,
-        )
+    _write_output(
+        text, args.output, f"{len(result.traces.series_names())} series"
+    )
     return 0
 
 
@@ -268,63 +323,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         text = report.to_json() + "\n"
     else:
         text = report.format_text()
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.hotspots)} hotspots to {args.output}",
-            file=sys.stderr,
-        )
+    _write_output(text, args.output, f"{len(report.hotspots)} hotspots")
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.list_faults:
+        at = robustness.FAULT_AT if args.fault_at is None else args.fault_at
         for name in robustness.FAULT_NAMES:
-            schedule = robustness.fault_suite(args.fault_at)[name]
+            schedule = robustness.fault_suite(at)[name]
             labels = ", ".join(spec.label() for spec in schedule)
             print(f"{name:<22} {labels}")
         return 0
-    if args.quick:
-        scenario_names = ("steady",)
-        fault_names = ("feedback_blackout", "capacity_outage")
-        policies = (PolicyName.ADAPTIVE,)
-        seeds: tuple[int, ...] = (1,)
-        duration = 14.0
-    else:
-        scenario_names = tuple(
-            args.scenarios or robustness.DEFAULT_SCENARIOS
-        )
-        fault_names = tuple(args.faults or robustness.DEFAULT_FAULTS)
-        policies = tuple(
-            PolicyName(p) for p in (
-                args.policies
-                or [p.value for p in robustness.DEFAULT_POLICIES]
-            )
-        )
-        seeds = tuple(range(1, args.seeds + 1))
-        duration = args.duration
-    report = robustness.run_matrix(
-        scenario_names=scenario_names,
-        fault_names=fault_names,
-        policies=policies,
-        seeds=seeds,
-        duration=duration,
-        fault_at=args.fault_at,
-    )
-    text = robustness.render(report, args.format)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.cells)} cells to {args.output}",
-            file=sys.stderr,
-        )
-    return 0
+    return _cmd_grid(args)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -334,63 +345,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             summary = doc.splitlines()[0] if doc else ""
             print(f"{name:<22} {summary}")
         return 0
-    if args.quick:
-        scenario_names: tuple[str, ...] = (
-            "steady", "regional_degradation"
-        )
-        seeds: tuple[int, ...] = (1,)
-        subscribers = 20
-        duration = 8.0
-    else:
-        scenario_names = tuple(
-            args.scenarios or fleet.DEFAULT_SCENARIOS
-        )
-        seeds = tuple(range(1, args.seeds + 1))
-        subscribers = args.subscribers
-        duration = args.duration
-    report = fleet.run_population(
-        scenario_names=scenario_names,
-        seeds=seeds,
-        subscribers=subscribers,
-        duration=duration,
-    )
-    text = fleet.render(report, args.format)
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"wrote {len(report.cells)} fleet cells to {args.output}",
-            file=sys.stderr,
-        )
-    if any(cell.failed is not None for cell in report.cells):
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _cmd_grid(args)
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    params: dict = {}
-    if args.seeds is not None:
-        params["seeds"] = list(range(1, args.seeds + 1))
-    if args.ratios:
-        params["ratios"] = args.ratios
-    if args.baseline is not None:
-        params["baseline"] = args.baseline
-    if args.drop_ratio is not None:
-        params["drop_ratio"] = args.drop_ratio
-    if args.policies:
-        params["policies"] = args.policies
-    if args.scenarios:
-        params["scenarios"] = args.scenarios
-    if args.subscribers is not None:
-        params["subscribers"] = args.subscribers
-    if args.duration is not None:
-        params["duration"] = args.duration
-    if args.faults:
-        params["faults"] = args.faults
-    if args.fault_at is not None:
-        params["fault_at"] = args.fault_at
+    params = _grid_params(args)
     plan = shards.build_plan(
         args.grid, params, args.shards, striping=args.striping
     )
@@ -531,11 +490,7 @@ def _cmd_shard_merge(args: argparse.Namespace) -> int:
     text, quarantined = shards.render_merged(
         plan, cache, manifest, args.format
     )
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write_output(text, args.output, None)
     print(
         f"repro-rtc: merged {summary.shards_seen} shard dir(s) of plan "
         f"{plan.plan_id}: {summary.cells} cells, {summary.ok} ok, "
@@ -697,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(func=_cmd_run)
 
     t1_p = sub.add_parser("table1", help="regenerate the headline table")
-    t1_p.add_argument("--seeds", type=int, default=5)
+    t1_p.add_argument("--seeds", type=int)
     t1_p.add_argument(
         "--format",
         choices=["table", "json", "csv"],
@@ -711,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file (default or '-': stdout)",
     )
     _add_supervision_flags(t1_p)
-    t1_p.set_defaults(func=_cmd_table1)
+    t1_p.set_defaults(func=_cmd_grid, grid="table1")
 
     fig_p = sub.add_parser("figure", help="print one figure's data")
     fig_p.add_argument("number", type=int, choices=[1, 2, 3, 4])
@@ -719,9 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.set_defaults(func=_cmd_figure)
 
     cmp_p = sub.add_parser("compare", help="compare all policies")
-    cmp_p.add_argument("--drop-ratio", type=float, default=0.2)
-    cmp_p.add_argument("--seeds", type=int, default=3)
-    cmp_p.set_defaults(func=_cmd_compare)
+    cmp_p.add_argument("--drop-ratio", type=float)
+    cmp_p.add_argument("--seeds", type=int)
+    cmp_p.set_defaults(
+        func=_cmd_grid, grid="compare", format="table", output=None
+    )
 
     abl_p = sub.add_parser("ablate", help="run the ablations")
     abl_p.add_argument("--drop-ratio", type=float, default=0.2)
@@ -851,14 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="policy to include (repeatable; default: "
         f"{', '.join(p.value for p in robustness.DEFAULT_POLICIES)})",
     )
-    chaos_p.add_argument("--seeds", type=int, default=2)
-    chaos_p.add_argument(
-        "--duration", type=float, default=robustness.DURATION
-    )
+    chaos_p.add_argument("--seeds", type=int)
+    chaos_p.add_argument("--duration", type=float)
     chaos_p.add_argument(
         "--fault-at",
         type=float,
-        default=robustness.FAULT_AT,
         help="when fault windows open (default: "
         f"{robustness.FAULT_AT:g} s)",
     )
@@ -887,7 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the canonical fault schedules instead of running",
     )
     _add_supervision_flags(chaos_p)
-    chaos_p.set_defaults(func=_cmd_chaos)
+    chaos_p.set_defaults(func=_cmd_chaos, grid="chaos")
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -905,21 +859,18 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_p.add_argument(
         "--seeds",
         type=int,
-        default=1,
         metavar="N",
         help="seeds 1..N per scenario (default: 1)",
     )
     fleet_p.add_argument(
         "--subscribers",
         type=int,
-        default=fleet.SUBSCRIBERS,
         help="total subscriber population, split across the two "
         f"regions (default: {fleet.SUBSCRIBERS})",
     )
     fleet_p.add_argument(
         "--duration",
         type=float,
-        default=fleet.DURATION,
         help=f"capture duration in seconds (default: {fleet.DURATION:g})",
     )
     fleet_p.add_argument(
@@ -947,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list the population scenarios instead of running",
     )
     _add_supervision_flags(fleet_p)
-    fleet_p.set_defaults(func=_cmd_fleet)
+    fleet_p.set_defaults(func=_cmd_fleet, grid="fleet")
 
     resume_p = sub.add_parser(
         "resume",

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
 from . import scenarios
@@ -115,16 +114,6 @@ def rows_from_results(
             )
         )
     return rows
-
-
-def run_comparison(
-    drop_ratio: float = 0.2,
-    seeds: tuple[int, ...] = (1, 2, 3),
-    policies: tuple[PolicyName, ...] = ALL_POLICIES,
-) -> list[PolicyRow]:
-    """Run every policy on the same scenario points."""
-    batch = plan_batch(drop_ratio, seeds, policies)
-    return rows_from_results(run_many(batch), seeds, policies)
 
 
 def comparison_title(drop_ratio: float) -> str:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..fleet import FleetConfig, FleetResult, two_region_fleet
-from ..pipeline.parallel import run_many
 from ..pipeline.supervisor import FailedSession, failure_label
 
 #: Default capture duration for fleet cells (population dynamics —
@@ -226,31 +225,32 @@ def render(report: FleetReport, fmt: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# Planning and assembly (split so the shard fabric reuses both halves)
+# Planning and assembly (the ``fleet`` grid's build and render halves)
 # ----------------------------------------------------------------------
-def _check_names(scenario_names: tuple[str, ...]) -> None:
-    for name in scenario_names:
-        if name not in SCENARIOS:
-            raise ConfigError(
-                f"unknown fleet scenario {name!r}; "
-                f"known: {sorted(SCENARIOS)}"
-            )
-
-
 def plan_batch(
     scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
     seeds: tuple[int, ...] = (1,),
     subscribers: int = SUBSCRIBERS,
     duration: float = DURATION,
 ) -> list[FleetConfig]:
-    """The grid's deterministic config batch, scenario-major."""
-    _check_names(scenario_names)
-    if not seeds:
-        raise ConfigError("need at least one seed")
+    """The grid's deterministic config batch, scenario-major.
+
+    Raises:
+        ConfigError: an unknown scenario, no scenario or seed, fewer
+            than two subscribers, or a non-positive duration.
+    """
+    for name in scenario_names:
+        if name not in SCENARIOS:
+            raise ConfigError(
+                f"unknown fleet scenario {name!r}; "
+                f"known: {sorted(SCENARIOS)}"
+            )
+    if not scenario_names or not seeds:
+        raise ConfigError("fleet grid needs at least one scenario and seed")
     if subscribers < 2:
         raise ConfigError("fleet grid needs at least two subscribers")
     if duration <= 0:
-        raise ConfigError("duration must be positive")
+        raise ConfigError("fleet grid duration must be positive")
     return [
         SCENARIOS[name](seed, subscribers, duration)
         for name in scenario_names
@@ -311,21 +311,3 @@ def rows_from_results(
                 )
             )
     return cells
-
-
-def run_population(
-    scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
-    seeds: tuple[int, ...] = (1,),
-    subscribers: int = SUBSCRIBERS,
-    duration: float = DURATION,
-) -> FleetReport:
-    """Run the scenario × seed fleet grid and assemble the report."""
-    batch = plan_batch(scenario_names, seeds, subscribers, duration)
-    results = run_many(batch)
-    return FleetReport(
-        scenarios=tuple(scenario_names),
-        seeds=tuple(seeds),
-        subscribers=subscribers,
-        duration=duration,
-        cells=rows_from_results(results, tuple(scenario_names), tuple(seeds)),
-    )

@@ -26,7 +26,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..pipeline.config import NetworkConfig, PolicyName, SessionConfig, VideoConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
 from ..traces.bandwidth import BandwidthTrace
@@ -304,8 +303,8 @@ def validate_grid(
     """Validate matrix parameters; returns the fault suite.
 
     Raises:
-        ConfigError: unknown scenario/fault, empty seeds, or a session
-            too short to contain the fault windows.
+        ConfigError: unknown scenario/fault, no scenario, fault or
+            seed, or a session too short to contain the fault windows.
     """
     suite = fault_suite(fault_at)
     for name in scenario_names:
@@ -318,8 +317,8 @@ def validate_grid(
             raise ConfigError(
                 f"unknown fault {name!r}; known: {sorted(suite)}"
             )
-    if not seeds:
-        raise ConfigError("need at least one seed")
+    if not scenario_names or not fault_names or not seeds:
+        raise ConfigError("need at least one scenario, fault and seed")
     if duration <= fault_at:
         raise ConfigError(
             f"duration {duration!r} must exceed fault_at {fault_at!r}"
@@ -519,34 +518,4 @@ def report_from_results(
         fault_at=fault_at,
         measure_from=MEASURE_FROM,
         cells=cells,
-    )
-
-
-def run_matrix(
-    scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
-    fault_names: tuple[str, ...] = DEFAULT_FAULTS,
-    policies: tuple[PolicyName, ...] = DEFAULT_POLICIES,
-    seeds: tuple[int, ...] = (1, 2),
-    duration: float = DURATION,
-    fault_at: float = FAULT_AT,
-) -> RobustnessReport:
-    """Run the scenario × fault grid and aggregate the degradation.
-
-    Per (scenario, policy, seed): one clean baseline session plus one
-    session per fault schedule, all batched through a single
-    :func:`run_many` call so caching and worker fan-out apply. The
-    deltas in each cell compare against the *same-seed* baseline, so
-    encoder noise and content draws cancel out exactly.
-    """
-    batch = plan_batch(
-        scenario_names, fault_names, policies, seeds, duration, fault_at
-    )
-    return report_from_results(
-        run_many(batch),
-        scenario_names,
-        fault_names,
-        policies,
-        seeds,
-        duration,
-        fault_at,
     )

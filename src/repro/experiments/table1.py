@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
 from . import scenarios
@@ -46,22 +45,6 @@ class Table1Row:
     baseline_pli: float
     adaptive_pli: float
     failed: str | None = None
-
-
-def _row_configs(
-    drop_ratio: float,
-    seeds: tuple[int, ...],
-    baseline: PolicyName,
-) -> list[SessionConfig]:
-    """The (baseline, adaptive) config pairs for one severity point."""
-    configs = []
-    for seed in seeds:
-        config = scenarios.step_drop_config(drop_ratio, seed=seed)
-        configs.append(dataclasses.replace(config, policy=baseline))
-        configs.append(
-            dataclasses.replace(config, policy=PolicyName.ADAPTIVE)
-        )
-    return configs
 
 
 def _failed_row(drop_ratio: float, marker: str) -> Table1Row:
@@ -117,16 +100,6 @@ def _row_from_results(
     )
 
 
-def run_row(
-    drop_ratio: float,
-    seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> Table1Row:
-    """Compute one table row, averaging the given seeds."""
-    results = run_many(_row_configs(drop_ratio, seeds, baseline))
-    return _row_from_results(drop_ratio, results)
-
-
 def plan_batch(
     ratios: tuple[float, ...] = scenarios.TABLE1_DROP_RATIOS,
     seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
@@ -134,18 +107,23 @@ def plan_batch(
 ) -> tuple[list[SessionConfig], list[tuple[float, int, int]]]:
     """The table's session batch plus its ``(ratio, lo, hi)`` row spans.
 
-    Deterministic enumeration: the same arguments always produce the
-    same configs in the same order. The shard fabric
-    (:mod:`repro.pipeline.shards`) partitions exactly this batch, and
-    :func:`rows_from_results` folds results — wherever they were
-    executed — back into rows.
+    Ratio-major, and per (ratio, seed) the baseline then ADAPTIVE; the
+    same arguments always give the same configs in the same order. The
+    ``table1`` and ``sweep`` grids (:mod:`repro.pipeline.shards`) run
+    exactly this batch, and :func:`rows_from_results` folds results —
+    wherever they were executed — back into rows.
     """
     batch: list[SessionConfig] = []
     spans: list[tuple[float, int, int]] = []
     for ratio in ratios:
-        configs = _row_configs(ratio, seeds, baseline)
-        spans.append((ratio, len(batch), len(batch) + len(configs)))
-        batch.extend(configs)
+        lo = len(batch)
+        for seed in seeds:
+            config = scenarios.step_drop_config(ratio, seed=seed)
+            batch.append(dataclasses.replace(config, policy=baseline))
+            batch.append(
+                dataclasses.replace(config, policy=PolicyName.ADAPTIVE)
+            )
+        spans.append((ratio, lo, len(batch)))
     return batch, spans
 
 
@@ -158,21 +136,6 @@ def rows_from_results(
         _row_from_results(ratio, results[lo:hi])
         for ratio, lo, hi in spans
     ]
-
-
-def run_table(
-    ratios: tuple[float, ...] = scenarios.TABLE1_DROP_RATIOS,
-    seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> list[Table1Row]:
-    """Compute the full headline table.
-
-    All ``len(ratios) × len(seeds) × 2`` sessions go through one
-    :func:`run_many` batch, so a configured worker pool parallelizes
-    the entire table regeneration.
-    """
-    batch, spans = plan_batch(ratios, seeds, baseline)
-    return rows_from_results(run_many(batch), spans)
 
 
 def format_table(rows: list[Table1Row]) -> str:

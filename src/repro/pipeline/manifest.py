@@ -80,6 +80,35 @@ def lease_state(
     return "live" if now <= renewed + ttl + grace else "expired"
 
 
+def atomic_write(
+    path: Path, data: str | bytes, prefix: str, suffix: str = ".tmp"
+) -> None:
+    """Replace ``path`` with ``data`` in one ``os.replace``.
+
+    ``data`` (a ``str`` is UTF-8 encoded) goes into a temp file named
+    ``<prefix>*<suffix>`` beside ``path`` in one write, and the rename
+    makes it visible: readers see the old file or the new one, never a
+    torn one. A failed write removes its temp file and leaves ``path``
+    as it was.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=prefix, suffix=suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def manifest_dir() -> Path:
     """``$REPRO_MANIFEST_DIR`` or ``<default cache dir>/runs``."""
     env = os.environ.get("REPRO_MANIFEST_DIR")
@@ -476,20 +505,11 @@ class RunManifest:
             # Every write that reaches disk doubles as a lease renewal.
             self.lease["renewed"] = time.time()
             self._last_heartbeat = now
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=".manifest-", suffix=".tmp"
+        atomic_write(
+            self.path,
+            json.dumps(self.to_dict(), indent=2, sort_keys=True),
+            prefix=".manifest-",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     def finish(self, status: str, stats: dict[str, int]) -> None:
         """Seal the manifest: final status + supervisor counters.

@@ -40,6 +40,7 @@ from typing import Callable, Iterable
 from ..errors import ConfigError
 from ..traces.bandwidth import BandwidthTrace
 from .config import SessionConfig
+from .manifest import atomic_write
 from .results import SessionResult
 from .runner import run_session
 from .supervisor import FailedSession, Supervisor, SupervisorPlan
@@ -314,7 +315,6 @@ class ResultCache:
 
     def put(self, config: object, result: object) -> Path:
         """Store ``result`` under ``config``'s hash (atomically)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(config)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
@@ -324,19 +324,7 @@ class ResultCache:
         # One-shot dumps runs json's C encoder; json.dump into a file
         # handle streams through the pure-Python one instead.
         text = json.dumps(entry, separators=(",", ":"))
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, text, prefix=".tmp-", suffix=".json")
         return path
 
     def clear(self) -> int:

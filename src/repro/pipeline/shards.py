@@ -62,7 +62,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -76,6 +75,7 @@ from .manifest import (
     DEFAULT_LEASE_TTL,
     STATUSES,
     RunManifest,
+    atomic_write,
     host_tag,
     lease_state,
 )
@@ -106,15 +106,17 @@ CLAIMS_DIR = "claims"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GridDef:
-    """One shardable grid: normalize params, enumerate, render.
+    """One grid: normalize params, enumerate, render.
 
-    ``normalize`` validates raw parameters and fills defaults into a
-    canonical JSON-ready dict (the plan stores exactly this, so two
-    plans of the same logical grid are byte-identical). ``build``
-    deterministically enumerates the session batch. ``render`` folds a
-    full result list (in ``build`` order, quarantined cells as
-    :class:`FailedSession`) into the grid's report text — the *same*
-    bytes the equivalent single-host CLI invocation writes.
+    ``normalize`` fills a default for every param that is missing or
+    ``None`` — it is the only place a grid's defaults live — and
+    returns a canonical JSON-ready dict (the plan stores exactly this,
+    so two plans of the same logical grid are byte-identical).
+    ``normalize`` and ``build`` reject bad params with
+    :class:`ConfigError`. ``build`` deterministically enumerates the
+    session batch. ``render`` folds a full result list (in ``build``
+    order, quarantined cells as :class:`FailedSession`) into the
+    grid's report text.
     """
 
     normalize: Callable[[dict], dict]
@@ -123,25 +125,47 @@ class GridDef:
     formats: tuple[str, ...]
 
 
+def _param(params: dict, key: str, default):
+    """``params[key]``, or ``default`` when it is missing or ``None``.
+
+    An explicit zero or empty list is a value, not "unset": it reaches
+    the grid's checks instead of silently becoming the default.
+    """
+    value = params.get(key)
+    return default if value is None else value
+
+
 # The grid callables import the experiment drivers lazily: experiments
 # import pipeline submodules, so a module-level import here would tie a
 # knot through the package __init__s.
-def _table1_normalize(params: dict) -> dict:
+def _drop_normalize(
+    kind: str, params: dict, default_seeds: tuple[int, ...]
+) -> dict:
+    """``normalize`` of the table1 and sweep grids: one batch, two
+    default seed sets."""
     from ..experiments import scenarios
 
     ratios = [
-        float(r) for r in params.get("ratios")
-        or scenarios.TABLE1_DROP_RATIOS
+        float(r)
+        for r in _param(params, "ratios", scenarios.TABLE1_DROP_RATIOS)
     ]
-    seeds = [
-        int(s) for s in params.get("seeds") or scenarios.TABLE1_SEEDS
-    ]
+    seeds = [int(s) for s in _param(params, "seeds", default_seeds)]
     baseline = PolicyName(
-        params.get("baseline") or PolicyName.WEBRTC.value
+        _param(params, "baseline", PolicyName.WEBRTC.value)
     ).value
     if not ratios or not seeds:
-        raise ConfigError("table1 grid needs at least one ratio and seed")
+        raise ConfigError(f"{kind} grid needs at least one ratio and seed")
     return {"baseline": baseline, "ratios": ratios, "seeds": seeds}
+
+
+def _table1_normalize(params: dict) -> dict:
+    from ..experiments import scenarios
+
+    return _drop_normalize("table1", params, scenarios.TABLE1_SEEDS)
+
+
+def _sweep_normalize(params: dict) -> dict:
+    return _drop_normalize("sweep", params, (1, 2, 3))
 
 
 def _table1_build(params: dict) -> list[SessionConfig]:
@@ -169,12 +193,13 @@ def _table1_render(params: dict, results: list, fmt: str) -> str:
 def _compare_normalize(params: dict) -> dict:
     from ..experiments import comparison
 
-    drop_ratio = float(params.get("drop_ratio") or 0.2)
-    seeds = [int(s) for s in params.get("seeds") or (1, 2, 3)]
+    drop_ratio = float(_param(params, "drop_ratio", 0.2))
+    seeds = [int(s) for s in _param(params, "seeds", (1, 2, 3))]
     policies = [
         PolicyName(p).value
-        for p in params.get("policies")
-        or [p.value for p in comparison.ALL_POLICIES]
+        for p in _param(
+            params, "policies", [p.value for p in comparison.ALL_POLICIES]
+        )
     ]
     if not seeds or not policies:
         raise ConfigError("compare grid needs at least one seed and policy")
@@ -208,34 +233,20 @@ def _compare_render(params: dict, results: list, fmt: str) -> str:
 
 
 def _fleet_normalize(params: dict) -> dict:
+    # The scenario, seed, subscriber and duration checks live in
+    # ``fleet.plan_batch``, which ``build`` calls next.
     from ..experiments import fleet
 
-    scenario_names = [
-        str(name)
-        for name in params.get("scenarios") or fleet.DEFAULT_SCENARIOS
-    ]
-    for name in scenario_names:
-        if name not in fleet.SCENARIOS:
-            raise ConfigError(
-                f"unknown fleet scenario {name!r}; "
-                f"known: {sorted(fleet.SCENARIOS)}"
-            )
-    seeds = [int(s) for s in params.get("seeds") or (1,)]
-    subscribers = int(params.get("subscribers") or fleet.SUBSCRIBERS)
-    duration = float(params.get("duration") or fleet.DURATION)
-    if not scenario_names or not seeds:
-        raise ConfigError(
-            "fleet grid needs at least one scenario and seed"
-        )
-    if subscribers < 2:
-        raise ConfigError("fleet grid needs at least two subscribers")
-    if duration <= 0:
-        raise ConfigError("fleet grid duration must be positive")
     return {
-        "duration": duration,
-        "scenarios": scenario_names,
-        "seeds": seeds,
-        "subscribers": subscribers,
+        "duration": float(_param(params, "duration", fleet.DURATION)),
+        "scenarios": [
+            str(name)
+            for name in _param(params, "scenarios", fleet.DEFAULT_SCENARIOS)
+        ],
+        "seeds": [int(s) for s in _param(params, "seeds", (1,))],
+        "subscribers": int(
+            _param(params, "subscribers", fleet.SUBSCRIBERS)
+        ),
     }
 
 
@@ -272,20 +283,25 @@ def _chaos_normalize(params: dict) -> dict:
 
     scenario_names = [
         str(name)
-        for name in params.get("scenarios") or robustness.DEFAULT_SCENARIOS
+        for name in _param(
+            params, "scenarios", robustness.DEFAULT_SCENARIOS
+        )
     ]
     fault_names = [
         str(name)
-        for name in params.get("faults") or robustness.FAULT_NAMES
+        for name in _param(params, "faults", robustness.FAULT_NAMES)
     ]
     policies = [
         PolicyName(p).value
-        for p in params.get("policies")
-        or [p.value for p in robustness.DEFAULT_POLICIES]
+        for p in _param(
+            params,
+            "policies",
+            [p.value for p in robustness.DEFAULT_POLICIES],
+        )
     ]
-    seeds = [int(s) for s in params.get("seeds") or (1, 2)]
-    duration = float(params.get("duration") or robustness.DURATION)
-    fault_at = float(params.get("fault_at") or robustness.FAULT_AT)
+    seeds = [int(s) for s in _param(params, "seeds", (1, 2))]
+    duration = float(_param(params, "duration", robustness.DURATION))
+    fault_at = float(_param(params, "fault_at", robustness.FAULT_AT))
     if not policies:
         raise ConfigError("chaos grid needs at least one policy")
     robustness.validate_grid(
@@ -333,32 +349,6 @@ def _chaos_render(params: dict, results: list, fmt: str) -> str:
     return robustness.render(report, fmt)
 
 
-def _sweep_normalize(params: dict) -> dict:
-    from ..experiments import scenarios
-
-    ratios = [
-        float(r) for r in params.get("ratios")
-        or scenarios.TABLE1_DROP_RATIOS
-    ]
-    seeds = [int(s) for s in params.get("seeds") or (1, 2, 3)]
-    baseline = PolicyName(
-        params.get("baseline") or PolicyName.WEBRTC.value
-    ).value
-    if not ratios or not seeds:
-        raise ConfigError("sweep grid needs at least one ratio and seed")
-    return {"baseline": baseline, "ratios": ratios, "seeds": seeds}
-
-
-def _sweep_build(params: dict) -> list[SessionConfig]:
-    from . import sweeps
-
-    return sweeps.plan_drop_sweep(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-
-
 def _sweep_render(params: dict, results: list, fmt: str) -> str:
     from . import sweeps
 
@@ -370,10 +360,10 @@ def _sweep_render(params: dict, results: list, fmt: str) -> str:
     return sweeps.render_drop_sweep(rows, fmt)
 
 
-#: Shardable grids by name. Each renders through the *driver's* own
-#: row-assembly and formatting code, so a merged report and the
-#: equivalent single-host CLI report are the same bytes by
-#: construction.
+#: Every grid by name. A subcommand (``repro-rtc table1`` and so on)
+#: and a ``shard`` plan of the same grid both run its ``GridDef``:
+#: :func:`run_grid` on one host, :func:`render_merged` after a merge.
+#: The ``sweep`` grid runs Table 1's batch, one row per (ratio, seed).
 GRIDS: dict[str, GridDef] = {
     "table1": GridDef(
         normalize=_table1_normalize,
@@ -401,7 +391,7 @@ GRIDS: dict[str, GridDef] = {
     ),
     "sweep": GridDef(
         normalize=_sweep_normalize,
-        build=_sweep_build,
+        build=_table1_build,
         render=_sweep_render,
         formats=("table", "json", "csv"),
     ),
@@ -420,6 +410,48 @@ def grid_def(kind: str) -> GridDef:
         raise ConfigError(
             f"unknown grid {kind!r} (available: {', '.join(sorted(GRIDS))})"
         ) from None
+
+
+def _renderer(kind: str, fmt: str) -> GridDef:
+    """The grid's definition, once it is known to render ``fmt``.
+
+    Raises:
+        ConfigError: an unknown grid, or a format it cannot render.
+    """
+    definition = grid_def(kind)
+    if fmt not in definition.formats:
+        raise ConfigError(
+            f"grid {kind!r} cannot render {fmt!r} "
+            f"(formats: {', '.join(definition.formats)})"
+        )
+    return definition
+
+
+def _render(
+    definition: GridDef, params: dict, results: list[object], fmt: str
+) -> tuple[str, int]:
+    """A grid's report text and its quarantined-cell count."""
+    _ok, failures = split_failures(results)
+    return definition.render(params, results, fmt), len(failures)
+
+
+def run_grid(kind: str, params: dict | None, fmt: str) -> tuple[str, int]:
+    """Run one grid on this host and render its report.
+
+    Normalizes ``params``, builds the batch, runs it through
+    :func:`~repro.pipeline.parallel.run_many` under the configured
+    workers, cache and supervision plan, and renders it exactly as
+    :func:`render_merged` renders a merged plan of the same grid.
+    Returns the report text and the quarantined-cell count (``> 0``
+    only under a supervision plan).
+
+    Raises:
+        ConfigError: unknown grid or format, or bad params.
+    """
+    definition = _renderer(kind, fmt)
+    canonical = definition.normalize(dict(params or {}))
+    results = run_many(definition.build(canonical))
+    return _render(definition, canonical, results, fmt)
 
 
 # ----------------------------------------------------------------------
@@ -544,22 +576,11 @@ class ShardPlan:
     def save(self, path: Path | str) -> None:
         """Atomically write the plan (byte-stable: sorted keys, no
         timestamps — identical plans are identical files)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=target.parent, prefix=".plan-", suffix=".tmp"
+        atomic_write(
+            Path(path),
+            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
+            prefix=".plan-",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.replace(tmp_name, target)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
     @classmethod
     def load(cls, path: Path | str) -> "ShardPlan":
@@ -1084,21 +1105,7 @@ class MergeSummary:
 
 def _copy_entry(source: Path, dest: Path) -> None:
     """Copy one cache entry byte-for-byte via temp file + rename."""
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    payload = source.read_bytes()
-    fd, tmp_name = tempfile.mkstemp(
-        dir=dest.parent, prefix=".merge-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, dest)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(dest, source.read_bytes(), prefix=".merge-")
 
 
 def merge_shards(
@@ -1250,20 +1257,15 @@ def render_merged(
     Every cell is either served by the merged cache (bit-identical to
     a fresh run — the cache round trip is lossless by contract) or
     reconstructed as a :class:`FailedSession` from its quarantined
-    record, then folded through the grid driver's own row assembly and
-    formatting. Returns the report text and the quarantined-cell count
-    (``> 0`` ⇒ the CLI exits ``EXIT_PARTIAL``).
+    record, then rendered exactly as :func:`run_grid` renders a
+    single-host run of the grid. Returns the report text and the
+    quarantined-cell count (``> 0`` ⇒ the CLI exits ``EXIT_PARTIAL``).
 
     Raises:
         ConfigError: a cell has neither a cache entry nor a
             quarantined record (torn merge directory).
     """
-    definition = grid_def(plan.kind)
-    if fmt not in definition.formats:
-        raise ConfigError(
-            f"grid {plan.kind!r} cannot render {fmt!r} "
-            f"(formats: {', '.join(definition.formats)})"
-        )
+    definition = _renderer(plan.kind, fmt)
     configs = plan.configs()
     results: list[object] = []
     for config, digest in zip(configs, plan.hashes):
@@ -1279,9 +1281,7 @@ def render_merged(
             f"merged cache is missing cell {digest[:12]} and its "
             "manifest record is not quarantined — re-run the merge"
         )
-    text = definition.render(plan.params, results, fmt)
-    _ok, failures = split_failures(results)
-    return text, len(failures)
+    return _render(definition, plan.params, results, fmt)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 ``run_many`` runs a batch's cache misses inline when it has one worker
 and no :class:`SupervisorPlan`; every other batch comes here. The
-:class:`Supervisor` owns the repo's one process pool.
+:class:`Supervisor` owns the repo's one process pool, whose workers
+exit when the process that started them dies, even by SIGKILL.
 
 Without a plan it fails fast: the first failure kills the pool and
 propagates. Under a plan it is engineered to **finish** and to tell the
@@ -36,6 +37,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -62,6 +65,28 @@ from .results import SessionResult
 # ----------------------------------------------------------------------
 # Worker entry point
 # ----------------------------------------------------------------------
+#: Seconds between a pool worker's checks that its parent is alive.
+PARENT_POLL = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent is gone.
+
+    A SIGKILLed parent runs no cleanup, so its workers would wait on
+    the call queue forever. The parent's death reparents them, which
+    changes ``os.getppid()``; a daemon thread polls for that and exits
+    the worker on the spot (workers hold no state worth flushing).
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _supervised_worker(config: object, config_hash: str) -> dict:
     """Run one config in a worker; serialized dict crosses the boundary.
 
@@ -316,7 +341,9 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_exit_with_parent
+        )
 
     def _mark_ok(self, cell: _Cell, result: SessionResult) -> None:
         if self.cache is not None:

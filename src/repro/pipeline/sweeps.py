@@ -2,18 +2,17 @@
 
 :class:`ComparisonRow` is one sweep point's outcome: baseline and
 adaptive latency and quality over the scenario's window. The
-drop-severity sweep (the shard fabric's ``sweep`` grid) is planned,
-folded into rows, and rendered here; the shard fabric runs it.
+drop-severity sweep (the shard fabric's ``sweep`` grid) runs Table 1's
+batch; its results are folded into one row per (ratio, seed) point
+and rendered here.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 from ..errors import ConfigError
-from .config import PolicyName, SessionConfig
 from .results import SessionResult
 from .supervisor import failure_label, split_failures
 
@@ -114,41 +113,16 @@ def sweep_point_label(ratio: float, seed: int) -> str:
     return f"drop{int(round(ratio * 100))}%/s{seed}"
 
 
-def plan_drop_sweep(
-    ratios: tuple[float, ...],
-    seeds: tuple[int, ...],
-    baseline: PolicyName = PolicyName.WEBRTC,
-) -> list[SessionConfig]:
-    """Deterministically enumerate the drop-severity sweep batch.
-
-    Per (ratio, seed) point: the baseline policy then ADAPTIVE, in
-    ratio-major order — :func:`rows_from_drop_sweep` folds results back
-    assuming exactly this order, which is what lets the shard fabric
-    plan, stripe, and merge the sweep.
-    """
-    # Lazy import: experiments imports pipeline submodules, so a
-    # module-level import here would tie a knot through the __init__s.
-    from ..experiments import scenarios
-
-    batch: list[SessionConfig] = []
-    for ratio in ratios:
-        for seed in seeds:
-            point = scenarios.step_drop_config(ratio, seed=seed)
-            batch.append(
-                dataclasses.replace(point, policy=baseline)
-            )
-            batch.append(
-                dataclasses.replace(point, policy=PolicyName.ADAPTIVE)
-            )
-    return batch
-
-
 def rows_from_drop_sweep(
     results: list[object],
     ratios: tuple[float, ...],
     seeds: tuple[int, ...],
 ) -> list[ComparisonRow]:
-    """Fold a result list (in :func:`plan_drop_sweep` order) into rows."""
+    """Fold a result list into one row per (ratio, seed) point.
+
+    ``results`` come in :func:`repro.experiments.table1.plan_batch`
+    order: ratio-major, and per point the baseline then ADAPTIVE.
+    """
     from ..experiments import scenarios
 
     window = scenarios.DROP_WINDOW

@@ -10,10 +10,16 @@ import pytest
 
 from repro.experiments import ablations, comparison, figures, table1
 from repro.experiments.scenarios import ratio_label
+from repro.pipeline.parallel import run_many
+
+
+def _table1_rows(ratios, seeds):
+    batch, spans = table1.plan_batch(ratios=ratios, seeds=seeds)
+    return table1.rows_from_results(run_many(batch), spans)
 
 
 def test_table1_row_shape():
-    row = table1.run_row(0.2, seeds=(1,))
+    [row] = _table1_rows((0.2,), (1,))
     assert row.label == "drop to 20%"
     assert row.baseline_latency > row.adaptive_latency
     assert row.latency_reduction_pct > 50
@@ -21,7 +27,7 @@ def test_table1_row_shape():
 
 
 def test_table1_formatting():
-    rows = [table1.run_row(0.3, seeds=(1,))]
+    rows = _table1_rows((0.3,), (1,))
     text = table1.format_table(rows)
     assert "drop to 30%" in text
     assert "Table 1" in text
@@ -88,7 +94,8 @@ def test_rtt_sensitivity_rows():
 
 
 def test_comparison_includes_all_policies():
-    rows = comparison.run_comparison(drop_ratio=0.2, seeds=(1,))
+    batch = comparison.plan_batch(drop_ratio=0.2, seeds=(1,))
+    rows = comparison.rows_from_results(run_many(batch), seeds=(1,))
     names = {r.policy for r in rows}
     assert names == {
         "default_abr", "webrtc", "salsify", "adaptive", "oracle",

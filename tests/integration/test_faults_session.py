@@ -117,20 +117,19 @@ def test_telemetry_does_not_change_faulted_outcomes():
 # The robustness matrix
 # ----------------------------------------------------------------------
 def _small_matrix(workers: int = 1):
-    from repro.pipeline.parallel import configure
+    from repro.pipeline.parallel import run_many
 
-    configure(workers=workers, cache=None)
-    try:
-        return robustness.run_matrix(
-            scenario_names=("steady",),
-            fault_names=("feedback_blackout", "capacity_outage"),
-            policies=(PolicyName.ADAPTIVE,),
-            seeds=(1,),
-            duration=10.0,
-            fault_at=4.0,
-        )
-    finally:
-        configure(workers=1, cache=None)
+    grid = dict(
+        scenario_names=("steady",),
+        fault_names=("feedback_blackout", "capacity_outage"),
+        policies=(PolicyName.ADAPTIVE,),
+        seeds=(1,),
+        duration=10.0,
+        fault_at=4.0,
+    )
+    batch = robustness.plan_batch(**grid)
+    results = run_many(batch, workers=workers, cache=None)
+    return robustness.report_from_results(results, **grid)
 
 
 def test_matrix_report_byte_identical_across_runs_and_workers():
@@ -165,12 +164,13 @@ def test_matrix_report_shape_and_encodings():
 
 def test_matrix_rejects_unknown_names():
     from repro.errors import ConfigError
+    from repro.pipeline.shards import run_grid
 
     with pytest.raises(ConfigError):
-        robustness.run_matrix(scenario_names=("nope",))
+        run_grid("chaos", {"scenarios": ["nope"]}, "json")
     with pytest.raises(ConfigError):
-        robustness.run_matrix(fault_names=("nope",))
+        run_grid("chaos", {"faults": ["nope"]}, "json")
     with pytest.raises(ConfigError):
-        robustness.run_matrix(seeds=())
+        run_grid("chaos", {"seeds": []}, "json")
     with pytest.raises(ConfigError):
-        robustness.run_matrix(duration=5.0, fault_at=8.0)
+        run_grid("chaos", {"duration": 5.0, "fault_at": 8.0}, "json")

@@ -18,6 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +299,110 @@ def test_cli_partial_failure_renders_markers_and_exit_code(
         record["status"] == "quarantined"
         for record in manifest.records.values()
     )
+
+
+# ----------------------------------------------------------------------
+# A SIGKILLed parent takes its pool down
+# ----------------------------------------------------------------------
+#: Runs ``_configs(3)`` on a two-worker pool with the cache at argv[1].
+_POOL_SCRIPT = """
+import dataclasses, sys
+from repro.experiments import scenarios
+from repro.pipeline.config import PolicyName
+from repro.pipeline.parallel import ResultCache, run_many
+
+configs = [
+    dataclasses.replace(
+        scenarios.step_drop_config(0.3, seed=seed),
+        policy=PolicyName.WEBRTC,
+        duration=2.0,
+    )
+    for seed in (1, 2, 3)
+]
+run_many(configs, workers=2, cache=ResultCache(sys.argv[1]))
+"""
+
+
+def _proc_state(pid):
+    """``(state, ppid)`` of a process from ``/proc``, or ``None``."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # "pid (comm) state ppid ...": comm may itself hold spaces.
+    state, ppid = text[text.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
+
+
+def _live_descendants(root):
+    """Pids of ``root``'s non-zombie descendants, read from ``/proc``."""
+    parents = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            info = _proc_state(int(entry.name))
+            if info is not None and info[0] != "Z":
+                parents[int(entry.name)] = info[1]
+    found, frontier = set(), {root}
+    while frontier:
+        frontier = {
+            pid for pid, ppid in parents.items() if ppid in frontier
+        } - found
+        found |= frontier
+    return found
+
+
+def _wait_for(predicate, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.05)
+    return predicate()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads /proc"
+)
+def test_sigkilled_parent_takes_its_pool_workers_down(tmp_path):
+    import repro
+
+    configs = _configs(count=3)
+    hang = [
+        {"action": "hang", "match": config_hash(c), "hang_seconds": 60}
+        for c in configs[1:]
+    ]
+    env = dict(os.environ)
+    env[chaosharness.ENV_RULES] = json.dumps(hang)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    cache = ResultCache(tmp_path / "cache")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _POOL_SCRIPT, str(cache.root)], env=env
+    )
+    workers: set[int] = set()
+    try:
+        # Cell 1 lands in the cache while both workers hang on 2 and 3.
+        assert _wait_for(lambda: len(cache) > 0, 60), "no cell finished"
+        assert _wait_for(
+            lambda: len(_live_descendants(proc.pid)) >= 2, 10
+        ), "the pool never started two workers"
+        workers = _live_descendants(proc.pid)
+        proc.kill()
+        proc.wait(timeout=10)
+
+        def gone():
+            return all(
+                (_proc_state(pid) or ("Z",))[0] == "Z" for pid in workers
+            )
+
+        assert _wait_for(gone, 5), "pool workers outlived their parent"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in workers:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass

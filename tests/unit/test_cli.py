@@ -135,6 +135,20 @@ def test_chaos_quick_writes_json_report(tmp_path, capsys):
     assert "wrote 2 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--seeds", "0"],
+        ["compare", "--seeds", "0"],
+        ["shard", "plan", "--grid", "table1", "--shards", "1",
+         "--seeds", "0"],
+    ],
+)
+def test_zero_seeds_is_usage_error(argv, capsys):
+    assert main(["--no-cache", *argv]) == 2
+    assert "at least one" in capsys.readouterr().err
+
+
 def test_table1_format_flags_parsed():
     parser = build_parser()
     args = parser.parse_args(
@@ -233,12 +247,12 @@ def test_supervised_run_writes_manifest(tmp_path, capsys):
 def test_interrupt_exits_130_and_seals_manifest(
     tmp_path, capsys, monkeypatch
 ):
-    from repro.experiments import robustness
+    from repro.pipeline import shards
 
-    def interrupted(**kwargs):
+    def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(robustness, "run_matrix", interrupted)
+    monkeypatch.setattr(shards, "run_many", interrupted)
     manifest_path = tmp_path / "run.json"
     code = main(
         ["--no-cache", "chaos", "--quick",

@@ -114,12 +114,12 @@ def test_plan_matches_grid_enumeration():
 
 
 def test_sweep_grid_matches_driver_enumeration():
-    from repro.pipeline import sweeps
+    from repro.experiments import table1
 
     plan = build_plan(
         "sweep", {"ratios": [0.3, 0.2], "seeds": [1]}, 2
     )
-    batch = sweeps.plan_drop_sweep(
+    batch, _spans = table1.plan_batch(
         ratios=(0.3, 0.2), seeds=(1,), baseline=PolicyName.WEBRTC
     )
     # Two policies per (ratio, seed) point.
@@ -152,6 +152,51 @@ def test_chaos_grid_matches_driver_enumeration():
 # ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    ("kind", "params"),
+    [
+        ("table1", {"ratios": []}),
+        ("table1", {"seeds": []}),
+        ("sweep", {"ratios": []}),
+        ("sweep", {"seeds": []}),
+        ("compare", {"seeds": []}),
+        ("compare", {"policies": []}),
+        ("fleet", {"subscribers": 0}),
+        ("fleet", {"seeds": []}),
+        ("fleet", {"scenarios": []}),
+        ("fleet", {"duration": 0}),
+        ("chaos", {"seeds": []}),
+        ("chaos", {"faults": []}),
+        ("chaos", {"policies": []}),
+    ],
+)
+def test_explicit_zero_or_empty_param_is_rejected(kind, params):
+    # A zero or an empty list is a value, not "unset": it must reach
+    # the grid's checks instead of silently becoming the default.
+    with pytest.raises(ConfigError):
+        build_plan(kind, params, 1)
+
+
+def test_explicit_zero_fault_at_is_kept():
+    from repro.experiments import robustness
+
+    params = {
+        "scenarios": ["steady"],
+        "faults": [robustness.FAULT_NAMES[0]],
+        "seeds": [1],
+        "fault_at": 0.0,
+    }
+    assert build_plan("chaos", params, 1).params["fault_at"] == 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(shards.GRIDS))
+def test_none_means_default_and_normalize_is_idempotent(kind):
+    normalize = shards.grid_def(kind).normalize
+    canonical = normalize({})
+    assert normalize({key: None for key in canonical}) == canonical
+    assert normalize(canonical) == canonical
+
+
 @pytest.mark.parametrize("bad_k", [0, -1])
 def test_bad_shard_count_rejected(bad_k):
     with pytest.raises(ConfigError):

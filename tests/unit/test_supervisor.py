@@ -295,6 +295,27 @@ class TestRunManifest:
         with pytest.raises(ConfigError):
             RunManifest.load(wrong)
 
+    def test_failed_atomic_write_keeps_target_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.pipeline import manifest as manifest_module
+
+        target = tmp_path / "state.json"
+        target.write_text("old", encoding="utf-8")
+
+        def failing_replace(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(manifest_module.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no space"):
+            manifest_module.atomic_write(target, "new", prefix=".t-")
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == "old"
+        assert [path.name for path in tmp_path.iterdir()] == ["state.json"]
+        manifest_module.atomic_write(target, b"new", prefix=".t-")
+        assert target.read_bytes() == b"new"
+        assert [path.name for path in tmp_path.iterdir()] == ["state.json"]
+
     def test_find_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MANIFEST_DIR", str(tmp_path))
         assert manifest_dir() == tmp_path

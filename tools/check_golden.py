@@ -40,7 +40,7 @@ if str(ROOT / "src") not in sys.path:
 
 from repro.experiments import scenarios, table1  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
-from repro.pipeline.parallel import configure  # noqa: E402
+from repro.pipeline.parallel import configure, run_many  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
 from repro.telemetry import export_text  # noqa: E402
 
@@ -66,7 +66,8 @@ TOLERANCES = (
 
 def regenerate(seeds: tuple[int, ...]) -> list[table1.Table1Row]:
     """Fresh Table-1 rows for the pinned seeds."""
-    return table1.run_table(seeds=seeds)
+    batch, spans = table1.plan_batch(seeds=seeds)
+    return table1.rows_from_results(run_many(batch), spans)
 
 
 def rows_to_metrics(rows: list[table1.Table1Row]) -> dict:

@@ -63,7 +63,8 @@ class Harness:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.base = Path(args.out)
+        # Absolute: the worker subprocesses run from the repo root.
+        self.base = Path(args.out).resolve()
         self.shard_dir = self.base / "shards"
         self.plan_path = self.base / "plan.json"
         self.deadline = time.monotonic() + SCENARIO_TIMEOUT
