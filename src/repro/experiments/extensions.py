@@ -260,7 +260,6 @@ def fairness_comparison(
     drop-window latency per flow.
     """
     from ..traces.generators import step_drop
-    from .scenarios import QUEUE_BYTES
     from ..pipeline.multiflow import MultiFlowSession, jain_fairness
 
     pairings = [

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..faults.spec import FaultSchedule
-from ..pipeline.config import VideoConfig
+from ..pipeline.config import VideoConfig, validate_seed
 from ..pipeline.parallel import register_config_type
 from ..sfu.session import SimulcastLayer
 from ..traces.content import ContentClass
@@ -213,6 +213,7 @@ class FleetConfig:
             raise ConfigError("duration and grace_period must be finite")
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
+        validate_seed(self.seed)
         if self.uplink_bps <= 0 or self.internode_bps <= 0:
             raise ConfigError("link rates must be positive")
         if self.feedback_interval <= 0:

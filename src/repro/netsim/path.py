@@ -13,9 +13,7 @@ from typing import Callable
 from ..errors import ConfigError
 from ..floatsum import left_sum
 from ..simcore.scheduler import Scheduler
-from ..traces.bandwidth import BandwidthTrace
 from .link import Link
-from .loss import LossModel
 from .packet import Packet
 
 

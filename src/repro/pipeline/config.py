@@ -23,6 +23,18 @@ from ..traces.content import ContentClass
 from ..units import mbps, ms
 
 
+def validate_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is a signed 64-bit int.
+
+    A result echoes its config's seed, and the result cache reads an
+    integer back exactly only inside that range.
+    """
+    if not -(2**63) <= seed < 2**63:
+        raise ConfigError(
+            f"seed must be in [-2**63, 2**63), got {seed!r}"
+        )
+
+
 class PolicyName(Enum):
     """Selectable adaptation policies."""
 
@@ -166,6 +178,7 @@ class SessionConfig:
             raise ConfigError("pacing_multiplier must be >= 1")
         if self.abr_update_interval <= 0:
             raise ConfigError("abr_update_interval must be positive")
+        validate_seed(self.seed)
         if self.cc_estimator not in ("trendline", "kalman"):
             raise ConfigError(
                 "cc_estimator must be 'trendline' or 'kalman', "

@@ -88,12 +88,13 @@ def _row_decoder(row_cls: type) -> Callable[[list[dict]], list]:
     """Rebuild ``row_cls`` instances from their :meth:`to_dict` rows.
 
     Rows are built positionally, through one getter over the
-    dataclass's fields in ``__init__`` order. Keys out of ``json.load``
-    or ``pickle`` are not the interned names in ``__init__``'s code
-    object, so ``row_cls(**row)`` would match every keyword by string
-    compare: about 4x the cost of the positional call. A row with too
-    few or too many keys raises ``TypeError``, as the keyword call
-    would; one with the right count but a wrong key, ``KeyError``.
+    dataclass's fields in ``__init__`` order. Keys out of a JSON parser
+    (the result cache's, or the stdlib's) or ``pickle`` are not the
+    interned names in ``__init__``'s code object, so ``row_cls(**row)``
+    would match every keyword by string compare: about 4x the cost of
+    the positional call. A row with too few or too many keys raises
+    ``TypeError``, as the keyword call would; one with the right count
+    but a wrong key, ``KeyError``.
     """
     names = [f.name for f in fields(row_cls)]
     getter = itemgetter(*names)

@@ -62,7 +62,6 @@ def test_packet_and_byte_conservation(ops, capacity):
 def test_fifo_order_preserved(sizes):
     """CoDel drops from the head but never reorders survivors."""
     queue = CoDelQueue(10**9)
-    packets = []
     t = 0.0
     for index, size in enumerate(sizes):
         packet = Packet(size_bytes=size)

@@ -55,12 +55,21 @@ def test_two_region_fleet_validates():
         {"duration": float("inf")},
         {"grace_period": float("nan")},
         {"grace_period": float("inf")},
+        # A result echoes its seed; the result cache reads an integer
+        # back exactly only inside the signed 64-bit range.
+        {"seed": 2**63},
+        {"seed": -(2**63) - 1},
     ],
 )
 def test_validate_rejects_bad_values(mutation):
     config = dataclasses.replace(_tiny_fleet(), **mutation)
     with pytest.raises(ConfigError):
         config.validate()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_validate_accepts_seed_inside_signed_64_bits(seed):
+    dataclasses.replace(_tiny_fleet(), seed=seed).validate()
 
 
 def test_validate_rejects_duplicate_regions_and_links():

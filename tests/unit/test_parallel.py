@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import robustness, scenarios
 from repro.pipeline import chaosharness, parallel
-from repro.pipeline.config import PolicyName, SessionConfig
+from repro.pipeline.config import NetworkConfig, PolicyName, SessionConfig
 from repro.pipeline.parallel import (
     CACHE_SCHEMA_VERSION,
     ResultCache,
@@ -30,11 +30,24 @@ from repro.pipeline.results import (
     TimeseriesSample,
 )
 from repro.pipeline.runner import run_session
+from repro.traces.bandwidth import BandwidthTrace
+from repro.units import mbps
 
 
 def short_config(seed: int = 1, **overrides) -> SessionConfig:
     config = scenarios.step_drop_config(0.2, seed=seed)
     return dataclasses.replace(config, duration=4.0, **overrides)
+
+
+def dead_link_config() -> SessionConfig:
+    """2.5 Mbps falling to 0 at 5 s for good: the network queue delay
+    becomes infinite, which ``json.dumps`` writes as ``Infinity``."""
+    return SessionConfig(
+        network=NetworkConfig(
+            capacity=BandwidthTrace([(0.0, mbps(2.5)), (5.0, 0.0)])
+        ),
+        duration=8.0,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -232,11 +245,22 @@ class TestResultCache:
         hit = cache.get(config)
         assert hit == fresh
 
-    def test_hit_is_bit_identical_to_fresh_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "make_config, non_finite",
+        [
+            pytest.param(short_config, False, id="step_drop"),
+            # Not JSON: the stdlib parser reads this entry.
+            pytest.param(dead_link_config, True, id="dead_link"),
+        ],
+    )
+    def test_hit_is_bit_identical_to_fresh_run(
+        self, tmp_path, make_config, non_finite
+    ):
         cache = ResultCache(tmp_path)
-        config = short_config()
+        config = make_config()
         fresh = run_session(config)
-        cache.put(config, fresh)
+        path = cache.put(config, fresh)
+        assert (b"Infinity" in path.read_bytes()) == non_finite
         hit = cache.get(config)
         assert json.dumps(hit.to_dict(), sort_keys=True) == json.dumps(
             fresh.to_dict(), sort_keys=True

@@ -69,7 +69,7 @@ def test_displayed_ssim_equals_encoded_when_all_display():
 
 def test_freeze_decays_displayed_quality():
     frames = [_displayed(0, ssim=0.9), _frozen(1), _frozen(2)]
-    result = _result(frames)
+    _result(frames)
     assert frames[1].displayed_ssim < 0.9
     assert frames[2].displayed_ssim < frames[1].displayed_ssim
     assert frames[2].displayed_ssim >= FREEZE_FLOOR

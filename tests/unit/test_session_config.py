@@ -75,6 +75,20 @@ def test_session_rejects_non_finite_times(name, value):
         dataclasses.replace(base, **{name: value}).validate()
 
 
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**70 + 1])
+def test_session_rejects_seed_outside_signed_64_bits(seed):
+    """The result echoes the seed, and the result cache reads an
+    integer back exactly only inside the signed 64-bit range."""
+    config = SessionConfig(network=_network(), seed=seed)
+    with pytest.raises(ConfigError, match="seed"):
+        config.validate()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63), 0])
+def test_session_accepts_seed_inside_signed_64_bits(seed):
+    SessionConfig(network=_network(), seed=seed).validate()
+
+
 def test_policy_enum_round_trip():
     for policy in PolicyName:
         assert PolicyName(policy.value) is policy
