@@ -23,11 +23,10 @@ Subcommands:
   ``docs/running-fast.md``): ``shard plan`` partitions a grid into K
   deterministic shards, ``shard run`` executes one shard anywhere with
   the supervised executor (per-shard manifest + cache + heartbeat
-  lease, resumable via ``repro-rtc resume``), ``shard steal`` (or
-  ``shard run --steal``) reclaims dead shards' unfinished cells,
-  ``shard status`` reports per-shard progress and lease health,
-  and ``shard merge`` folds shard outputs into one report
-  byte-identical to a single-host serial run.
+  lease; a re-run, or ``repro-rtc resume``, finishes a dead shard and
+  refuses one whose lease is live), ``shard status`` reports per-shard
+  progress and lease health, and ``shard merge`` folds shard outputs
+  into one report byte-identical to a single-host serial run.
 * ``cache`` — inspect or clear the persistent result cache.
 
 ``table1``, ``compare``, ``chaos`` and ``fleet`` are grids: each runs
@@ -386,7 +385,6 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
             policy=policy,
             argv=getattr(args, "raw_argv", None),
             manifest_path=manifest_path,
-            lease_ttl=args.lease_ttl,
         )
     except KeyboardInterrupt:
         print(
@@ -405,67 +403,7 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
         f"(manifest: {splan.manifest.path})",
         file=sys.stderr,
     )
-    stolen_quarantined = 0
-    if args.steal:
-        summary, _steal_plan = shards.steal_shard(
-            plan,
-            args.index,
-            args.out,
-            workers=max(1, args.workers),
-            policy=policy,
-            argv=getattr(args, "raw_argv", None),
-            lease_ttl=args.lease_ttl,
-        )
-        _print_steal_summary(args.index, summary)
-        stolen_quarantined = summary.quarantined
-    if quarantined or stolen_quarantined:
-        return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def _print_steal_summary(
-    index: int, summary: "shards.StealSummary"
-) -> None:
-    for problem in summary.problems:
-        print(f"repro-rtc: warning: {problem}", file=sys.stderr)
-    if summary.skipped_live:
-        live = ", ".join(str(s) for s in summary.skipped_live)
-        print(
-            f"repro-rtc: shard(s) {live} hold live leases; "
-            "left alone",
-            file=sys.stderr,
-        )
-    if summary.claimed == 0:
-        print(
-            f"repro-rtc: shard {index}: nothing to steal",
-            file=sys.stderr,
-        )
-        return
-    victims = ", ".join(str(v) for v in summary.victims)
-    print(
-        f"repro-rtc: shard {index} stole {summary.claimed} cell(s) "
-        f"from shard(s) {victims}: {summary.executed} executed, "
-        f"{summary.quarantined} quarantined",
-        file=sys.stderr,
-    )
-
-
-def _cmd_shard_steal(args: argparse.Namespace) -> int:
-    plan = shards.ShardPlan.load(args.plan)
-    policy = _supervisor_policy(args)
-    summary, _splan = shards.steal_shard(
-        plan,
-        args.index,
-        args.dir,
-        workers=max(1, args.workers),
-        policy=policy,
-        argv=getattr(args, "raw_argv", None),
-        victims=args.victims or None,
-        lease_ttl=args.lease_ttl,
-        grace=args.grace,
-    )
-    _print_steal_summary(args.index, summary)
-    if summary.quarantined:
+    if quarantined:
         return EXIT_PARTIAL
     return EXIT_OK
 
@@ -551,18 +489,13 @@ def _cmd_shard_status(args: argparse.Namespace) -> int:
         f"({pct:.1f}%), {ok} ok, {quarantined} quarantined; "
         f"{started}/{plan.shards} shard(s) started"
     )
-    expired = [
-        status.index
-        for status in statuses
-        if status.lease == "expired" and status.done() < status.cells
-    ]
-    if expired:
-        names = ", ".join(str(index) for index in expired)
-        print(
-            f"shard(s) {names} hold expired leases with unfinished "
-            f"cells — reclaim with: repro-rtc shard steal "
-            f"{args.plan} --index I --dir {args.dir}"
-        )
+    for status in statuses:
+        if status.lease == "expired" and status.done() < status.cells:
+            print(
+                f"shard {status.index} holds an expired lease with "
+                f"unfinished cells — re-run it with: repro-rtc shard run "
+                f"{args.plan} --index {status.index} --out {args.dir}"
+            )
     return EXIT_OK
 
 
@@ -1042,71 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard base directory; this shard writes "
         "DIR/shard-NNN/{manifest.json,cache} (default: shards)",
     )
-    srun_p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=shards.DEFAULT_LEASE_TTL,
-        metavar="S",
-        help="heartbeat-lease TTL in seconds; a worker silent this "
-        "long is presumed dead and its cells become stealable "
-        f"(default: {shards.DEFAULT_LEASE_TTL:g})",
-    )
-    srun_p.add_argument(
-        "--steal",
-        action="store_true",
-        help="after finishing this shard, claim and execute "
-        "expired-lease cells from dead shards",
-    )
     _add_supervision_flags(srun_p)
     srun_p.set_defaults(func=_cmd_shard_run)
-
-    ssteal_p = shard_sub.add_parser(
-        "steal",
-        help="claim and execute unfinished cells of dead "
-        "(expired-lease) shards",
-    )
-    ssteal_p.add_argument("plan", metavar="PLAN", help="plan file")
-    ssteal_p.add_argument(
-        "--index",
-        type=int,
-        required=True,
-        metavar="I",
-        help="which shard identity to steal as (its manifest and "
-        "cache receive the stolen work)",
-    )
-    ssteal_p.add_argument(
-        "--dir",
-        default="shards",
-        metavar="DIR",
-        help="shard base directory (default: shards)",
-    )
-    ssteal_p.add_argument(
-        "--victim",
-        dest="victims",
-        action="append",
-        type=int,
-        metavar="V",
-        help="steal only from this shard (repeatable; raises if it "
-        "still holds a live lease; default: every reclaimable shard)",
-    )
-    ssteal_p.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=shards.DEFAULT_LEASE_TTL,
-        metavar="S",
-        help="heartbeat-lease TTL for the stealer's own manifest "
-        f"(default: {shards.DEFAULT_LEASE_TTL:g})",
-    )
-    ssteal_p.add_argument(
-        "--grace",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="extra seconds a lease must be expired before its cells "
-        "are considered reclaimable (default: 0)",
-    )
-    _add_supervision_flags(ssteal_p)
-    ssteal_p.set_defaults(func=_cmd_shard_steal)
 
     smerge_p = shard_sub.add_parser(
         "merge",

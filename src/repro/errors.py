@@ -83,17 +83,6 @@ class WorkerCrashError(ExecutionError):
     """A worker process died (OOM-kill, segfault, SIGKILL)."""
 
 
-class LeaseConflictError(ExecutionError):
-    """Two workers contend for the same shard cells.
-
-    Raised by the shard fabric's work-stealing path when a steal
-    targets cells whose owner still holds a **live** heartbeat lease
-    (see :mod:`repro.pipeline.shards`). The other worker is alive and
-    responsible for the cells, so retrying locally is wrong — the
-    contender should back off and let the lease run.
-    """
-
-
 class ErrorClass(enum.Enum):
     """Retry-relevant classification of an execution failure.
 
@@ -105,16 +94,11 @@ class ErrorClass(enum.Enum):
     * ``INFRASTRUCTURE`` — the substrate failed, not the session
       (broken process pool, OS errors, memory pressure): retried after
       the pool is respawned.
-    * ``CONTENTION`` — another live worker owns the work (a held
-      heartbeat lease, a claim file that lost the race): never retried
-      by the loser — the owner finishes the cell, and hammering it
-      would thunder the herd the lease exists to prevent.
     """
 
     TRANSIENT = "transient"
     DETERMINISTIC = "deterministic"
     INFRASTRUCTURE = "infrastructure"
-    CONTENTION = "contention"
 
 
 def classify_error(exc: BaseException) -> ErrorClass:
@@ -127,11 +111,6 @@ def classify_error(exc: BaseException) -> ErrorClass:
     """
     from concurrent.futures import BrokenExecutor
 
-    # Lease conflicts are contention, not failure: the cell's owner is
-    # alive. Tested first — LeaseConflictError is an ExecutionError and
-    # must not fall through to the deterministic default.
-    if isinstance(exc, LeaseConflictError):
-        return ErrorClass.CONTENTION
     # TimeoutError must be tested before OSError (its base since 3.10).
     if isinstance(exc, (TransientError, TimeoutError)):
         return ErrorClass.TRANSIENT

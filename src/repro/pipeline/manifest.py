@@ -48,25 +48,23 @@ SAVE_INTERVAL = 0.5
 #: all; :meth:`RunManifest.create` replaces it with a fresh identity.
 TORN_RUN_ID = "(torn-manifest)"
 
-#: Default heartbeat-lease TTL (s). A worker renews well inside this
-#: (every ``ttl / 3``); a lease older than the TTL marks the worker
-#: dead and its unfinished cells reclaimable (see
-#: :mod:`repro.pipeline.shards`).
+#: Heartbeat-lease TTL (s). A worker renews well inside this (every
+#: ``ttl / 3``); a lease older than the TTL marks the worker dead, and
+#: its shard may be re-run (see :mod:`repro.pipeline.shards`).
 DEFAULT_LEASE_TTL = 30.0
 
 
-def lease_state(
-    lease: dict | None,
-    now: float | None = None,
-    grace: float = 0.0,
-) -> str:
+def lease_state(lease: dict | None, now: float | None = None) -> str:
     """Classify a manifest's lease record: ``none``/``live``/``expired``.
 
     Leases use wall-clock time because they cross process (and host)
     boundaries — the reader is never the process that wrote them. A
     missing or malformed lease is ``none`` (pre-lease manifests, or a
-    sealed run that released it): its unfinished cells are treated as
-    reclaimable, exactly like an expired one.
+    sealed run that released it). A lease renewed within its TTL is
+    ``live``, unless it names this host and a pid that is no longer
+    running: its holder is known dead, so the lease reads ``expired``
+    at once. A zombie counts as running, and a reused pid can only make
+    a dead holder look alive, never the reverse.
     """
     if not isinstance(lease, dict):
         return "none"
@@ -77,7 +75,25 @@ def lease_state(
         return "none"
     if now is None:
         now = time.time()
-    return "live" if now <= renewed + ttl + grace else "expired"
+    if now > renewed + ttl or _holder_exited(lease):
+        return "expired"
+    return "live"
+
+
+def _holder_exited(lease: dict) -> bool:
+    """Whether ``lease`` names this host and a pid that has exited."""
+    pid = lease.get("pid")
+    if lease.get("host") != socket.gethostname():
+        return False
+    if type(pid) is not int or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)  # signal 0: an existence probe, nothing is sent
+    except ProcessLookupError:
+        return True
+    except OSError:  # e.g. EPERM: the pid runs under another user
+        return False
+    return False
 
 
 def atomic_write(
@@ -425,8 +441,9 @@ class RunManifest:
         Every subsequent :meth:`save` refreshes the lease's ``renewed``
         wall-clock stamp, and :meth:`heartbeat` forces a refresh even
         when no record transitions (a long-running cell must not look
-        dead). A reader observing ``renewed + ttl`` in the past may
-        reclaim this run's unfinished cells.
+        dead). The lease names this host (``socket.gethostname()``) and
+        this process's pid; a reader observing ``renewed + ttl`` in the
+        past, or the pid gone on the same host, may re-run the shard.
 
         Raises:
             ConfigError: on a non-positive TTL.
@@ -435,7 +452,7 @@ class RunManifest:
             raise ConfigError(f"lease ttl must be positive, got {ttl!r}")
         self.lease = {
             "owner": self.run_id,
-            "host": host_tag(),
+            "host": socket.gethostname(),
             "pid": os.getpid(),
             "ttl": float(ttl),
             "renewed": time.time(),
@@ -516,7 +533,7 @@ class RunManifest:
 
         Sealing releases any heartbeat lease — a finished (or
         interrupted) run has no in-flight work for a lease to protect,
-        and its unfinished cells should be immediately stealable.
+        and a re-run of its unfinished cells may start at once.
         """
         self.status = status
         self.stats = dict(stats)

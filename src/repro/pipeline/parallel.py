@@ -107,6 +107,9 @@ def register_config_type(
     Registration lives in the module that defines ``config_cls``, so
     unpickling a config inside a worker process imports that module and
     registers the type before the worker entry point dispatches on it.
+    Instances must provide ``validate()``, which raises
+    :class:`ConfigError` on a bad config; :func:`run_many` calls it
+    before it hashes or looks up a config.
     """
     _CONFIG_TYPES[config_cls] = ConfigTypeSpec(
         run=run,
@@ -464,6 +467,10 @@ def run_many(
         instead of raising (graceful degradation).
     """
     batch = list(configs)
+    for config in batch:
+        # Before any hash or cache lookup: an entry an older build wrote
+        # for a config this build rejects must not be served.
+        config.validate()
     if workers is None:
         workers = _context.workers
     if cache is _UNSET:

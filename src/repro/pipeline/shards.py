@@ -39,46 +39,33 @@ produced, and candidate directories are processed in sorted order —
 merging shards in any order yields byte-identical output (enforced by
 ``tests/unit/test_shards.py``).
 
-On top of the three phases sits **crash survival**:
-
-* every running shard holds a *heartbeat lease* in its manifest (see
-  :meth:`~repro.pipeline.manifest.RunManifest.enable_lease`); a lease
-  past its TTL marks the worker dead and its unfinished cells
-  reclaimable;
-* **steal** — :func:`steal_shard` lets a survivor claim expired-lease
-  cells through atomic claim files and execute them under its own
-  manifest + cache, then copy the results into the victim's cache so
-  a later resume of the victim is served entirely from cache. Claim
-  *ordering* is derived from cell hashes, never wall-clock time, and
-  claims are advisory: if two stealers ever execute the same cell the
-  results are bit-identical and cache writes are atomic, so any
-  interleaving of deaths, steals, and resumes merges byte-identically
-  (enforced by ``tools/shard_chaos.py`` and the ``shard-chaos`` CI
-  job).
+On top of the three phases sits **crash survival**: every running
+shard holds a *heartbeat lease* in its manifest (see
+:meth:`~repro.pipeline.manifest.RunManifest.enable_lease`), and
+:func:`run_shard` refuses a shard whose lease is still live, so two
+processes never run one shard at once. A shard whose worker died is
+finished by re-running its index — on any host once the lease has
+expired, at once on the host that ran it — and the re-run serves every
+cell that reached the shard's cache from there. ``shard status`` names
+such shards; ``tools/shard_chaos.py`` and the ``shard-chaos`` CI job
+prove that a SIGKILLed shard with a torn manifest, re-run this way,
+still merges byte-identically.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..errors import ConfigError, LeaseConflictError
+from ..errors import ConfigError
 from ..floatsum import left_sum
 from .config import PolicyName, SessionConfig
-from .manifest import (
-    DEFAULT_LEASE_TTL,
-    STATUSES,
-    RunManifest,
-    atomic_write,
-    host_tag,
-    lease_state,
-)
+from .manifest import STATUSES, RunManifest, atomic_write, lease_state
 from .parallel import ResultCache, config_hash, estimate_cost, run_many
 from .supervisor import (
     FailedSession,
@@ -96,9 +83,6 @@ SHARD_DIR_FORMAT = "shard-{index:03d}"
 
 #: Recognized striping modes for :func:`build_plan`.
 STRIPING_MODES = ("cost", "round-robin")
-
-#: Claim-file directory under a shard base directory.
-CLAIMS_DIR = "claims"
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +714,6 @@ def run_shard(
     policy: SupervisorPolicy | None = None,
     argv: list[str] | None = None,
     manifest_path: Path | str | None = None,
-    lease_ttl: float | None = DEFAULT_LEASE_TTL,
 ) -> tuple[list[object], SupervisorPlan]:
     """Execute one shard through ``run_many`` under a supervisor plan.
 
@@ -739,54 +722,43 @@ def run_shard(
     directory *resumes*: the manifest's finished cells are served from
     the shard cache and only unfinished cells execute — which is
     exactly what ``repro-rtc resume <shard>/manifest.json`` replays
-    after a crash or SIGKILL. Cells another shard stole while this one
-    was dead resume the same way: the stolen results were copied into
-    this shard's cache, so they cache-serve.
+    after a crash or SIGKILL.
 
-    While running, the manifest carries a heartbeat lease renewed at
-    least every ``lease_ttl / 3`` seconds; if this process is
-    SIGKILLed the lease expires and survivors may steal the shard's
-    unfinished cells (:func:`steal_shard`). ``lease_ttl=None``
-    disables the lease.
+    While running, the manifest carries a heartbeat lease of
+    :data:`~repro.pipeline.manifest.DEFAULT_LEASE_TTL` seconds, renewed
+    at least every third of it. A shard whose manifest still holds a
+    live lease (see :func:`~repro.pipeline.manifest.lease_state`) is
+    refused, so two processes never run one shard at once.
 
     Returns the shard's results (grid order within the shard;
     quarantined cells as :class:`FailedSession`) and the supervisor
     plan, whose stats drive the CLI's exit code.
+
+    Raises:
+        ConfigError: an index outside the plan, a plan this build
+            expands differently, or a manifest leased by a live
+            process.
     """
     configs = plan.configs()
+    batch = [configs[i] for i in plan.cell_indices(index)]
     directory = shard_dir(base_dir, index)
-    results, supervisor_plan, _cache = _run_supervised(
-        [configs[i] for i in plan.cell_indices(index)],
-        directory,
-        manifest_path=Path(manifest_path)
+    manifest_path = (
+        Path(manifest_path)
         if manifest_path is not None
-        else directory / "manifest.json",
-        command="shard",
-        workers=workers,
-        policy=policy,
-        argv=argv,
-        lease_ttl=lease_ttl,
+        else directory / "manifest.json"
     )
-    return results, supervisor_plan
-
-
-def _run_supervised(
-    configs: list[object],
-    directory: Path,
-    manifest_path: Path,
-    command: str,
-    workers: int,
-    policy: SupervisorPolicy | None,
-    argv: list[str] | None,
-    lease_ttl: float | None,
-) -> tuple[list[object], SupervisorPlan, ResultCache]:
-    """Run a shard's (or a stealer's) cells through :func:`run_many`.
-
-    The cache is ``<directory>/cache``; the manifest at
-    ``manifest_path`` records ``command`` and carries a heartbeat lease
-    unless ``lease_ttl`` is ``None``. Returns the results, the plan
-    whose stats and manifest describe the run, and the cache.
-    """
+    if manifest_path.is_file():
+        held, _problems = RunManifest.load_tolerant(manifest_path)
+        lease = held.lease
+        if lease_state(lease) == "live":
+            raise ConfigError(
+                f"shard {index} is still running: {manifest_path} is "
+                f"leased by host {lease.get('host')!r}, pid "
+                f"{lease.get('pid')}, renewed "
+                f"{time.time() - float(lease['renewed']):.1f} s ago; "
+                "re-run it once that process exits or its "
+                f"{float(lease['ttl']):g} s lease expires"
+            )
     cache = ResultCache(directory / "cache")
     cache.ensure_writable()
     policy = policy if policy is not None else SupervisorPolicy()
@@ -794,300 +766,18 @@ def _run_supervised(
     manifest = RunManifest.create(
         manifest_path,
         argv=argv,
-        command=command,
+        command="shard",
         workers=max(1, workers),
         session_timeout=policy.session_timeout,
         max_retries=policy.max_retries,
     )
-    if lease_ttl is not None:
-        manifest.enable_lease(ttl=lease_ttl)
+    manifest.enable_lease()
     manifest.save(force=True)
     supervisor_plan = SupervisorPlan(policy=policy, manifest=manifest)
     results = run_many(
-        configs, workers=max(1, workers), cache=cache, plan=supervisor_plan
+        batch, workers=max(1, workers), cache=cache, plan=supervisor_plan
     )
-    return results, supervisor_plan, cache
-
-
-# ----------------------------------------------------------------------
-# Work stealing
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReclaimScan:
-    """What a sweep of a shard base directory found.
-
-    ``cells`` maps victim shard index → its reclaimable cell indices
-    (unfinished cells whose shard does not hold a live lease).
-    ``live`` lists shards currently protected by a live lease.
-    ``problems`` collects tolerant-load notes (torn/corrupt manifests
-    encountered along the way — informational, never fatal here).
-    """
-
-    cells: dict[int, list[int]] = field(default_factory=dict)
-    live: tuple[int, ...] = ()
-    problems: tuple[str, ...] = ()
-
-
-def claims_dir(base: Path | str) -> Path:
-    """``<base>/claims`` — one claim file per stolen cell hash."""
-    return Path(base) / CLAIMS_DIR
-
-
-def scan_reclaimable(
-    plan: ShardPlan,
-    base_dir: Path | str,
-    now: float | None = None,
-    grace: float = 0.0,
-) -> ReclaimScan:
-    """Find every cell a survivor may claim right now.
-
-    A cell is reclaimable when it has no terminal result anywhere —
-    no ``ok``/``quarantined`` record in *any* shard manifest and no
-    entry in its own shard's cache (the cache check matters for the
-    torn-manifest case: a SIGKILL mid-write can lose the records of
-    cells whose results already landed) — **and** its owning shard's
-    lease is not live. A missing manifest, a released lease, and a
-    torn lease all read as not-live: the only thing a live lease
-    asserts is "a worker is actively renewing this file".
-
-    Manifests are read tolerantly; corruption is reported in
-    ``problems``, never raised.
-    """
-    base = Path(base_dir)
-    if now is None:
-        now = time.time()
-    finished: set[str] = set()
-    live: list[int] = []
-    problems: list[str] = []
-    for index in range(plan.shards):
-        manifest_file = shard_dir(base, index) / "manifest.json"
-        if not manifest_file.is_file():
-            continue
-        manifest, notes = RunManifest.load_tolerant(manifest_file)
-        problems.extend(notes)
-        if lease_state(manifest.lease, now=now, grace=grace) == "live":
-            live.append(index)
-        for digest, record in manifest.records.items():
-            if record["status"] in ("ok", "quarantined"):
-                finished.add(digest)
-    cells: dict[int, list[int]] = {}
-    for cell_index, digest in enumerate(plan.hashes):
-        owner = plan.shard_of(cell_index)
-        if owner in live or digest in finished:
-            continue
-        if (shard_dir(base, owner) / "cache" / f"{digest}.json").is_file():
-            continue
-        cells.setdefault(owner, []).append(cell_index)
-    return ReclaimScan(
-        cells=cells, live=tuple(live), problems=tuple(problems)
-    )
-
-
-def _claimant_is_live(
-    claim: dict, plan: ShardPlan, base_dir: Path | str, now: float
-) -> bool:
-    """Whether a claim file's owner still holds a live shard lease."""
-    shard_index = claim.get("shard")
-    if not isinstance(shard_index, int):
-        return False
-    if not 0 <= shard_index < plan.shards:
-        return False
-    manifest_file = shard_dir(base_dir, shard_index) / "manifest.json"
-    if not manifest_file.is_file():
-        return False
-    manifest, _notes = RunManifest.load_tolerant(manifest_file)
-    return lease_state(manifest.lease, now=now) == "live"
-
-
-def try_claim(
-    base_dir: Path | str,
-    digest: str,
-    stealer_index: int,
-    plan: ShardPlan,
-    now: float | None = None,
-) -> bool:
-    """Atomically claim one cell for stealing.
-
-    The claim is a file created with ``O_CREAT | O_EXCL`` — exactly one
-    creator wins under any interleaving the filesystem allows. An
-    existing claim whose owner's lease has itself expired (a stealer
-    that died mid-steal) is deleted and re-contested, so claims can
-    never deadlock the fabric.
-
-    Claims are *advisory*: they stop survivors from duplicating work,
-    but correctness never depends on them. If two stealers do execute
-    the same cell, both produce bit-identical results and the cache
-    write is atomic — the merge cannot tell the difference.
-    """
-    if now is None:
-        now = time.time()
-    directory = claims_dir(base_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{digest}.claim"
-    payload = json.dumps(
-        {
-            "hash": digest,
-            "host": host_tag(),
-            "pid": os.getpid(),
-            "shard": stealer_index,
-        },
-        indent=2,
-        sort_keys=True,
-    )
-    for _attempt in range(2):
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                claim = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                claim = {}
-            if not isinstance(claim, dict):
-                claim = {}
-            if claim.get("shard") == stealer_index:
-                # Our own earlier claim (a resumed steal): keep it.
-                return True
-            if _claimant_is_live(claim, plan, base_dir, now):
-                return False
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            continue
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        return True
-    return False
-
-
-@dataclass(frozen=True)
-class StealSummary:
-    """What one :func:`steal_shard` invocation did."""
-
-    claimed: int
-    executed: int
-    quarantined: int
-    victims: tuple[int, ...]
-    skipped_live: tuple[int, ...]
-    problems: tuple[str, ...]
-
-
-def steal_shard(
-    plan: ShardPlan,
-    index: int,
-    base_dir: Path | str,
-    workers: int = 1,
-    policy: SupervisorPolicy | None = None,
-    argv: list[str] | None = None,
-    victims: Sequence[int] | None = None,
-    lease_ttl: float | None = DEFAULT_LEASE_TTL,
-    grace: float = 0.0,
-) -> tuple[StealSummary, SupervisorPlan | None]:
-    """Claim and execute dead shards' unfinished cells as shard ``index``.
-
-    Candidate cells come from :func:`scan_reclaimable`; claim order is
-    the **sorted cell hashes** — a pure function of the plan, never
-    wall-clock time — so however many survivors race, the set of cells
-    each one wins is determined by claim-file atomicity alone and every
-    outcome merges byte-identically.
-
-    Stolen cells execute under the *stealer's* manifest and cache
-    (with its own heartbeat lease, so a stealer that dies mid-steal is
-    itself stealable). Each stolen result is then copied into the
-    victim's cache: if the victim ever resumes, its cells cache-serve
-    and the resume is a cheap no-op.
-
-    ``victims=None`` auto-targets every reclaimable shard. Naming a
-    victim that holds a live lease raises :class:`LeaseConflictError`
-    (classified :data:`~repro.errors.ErrorClass.CONTENTION` — never
-    retried by a supervisor).
-
-    Returns the summary and the stealer's supervisor plan (``None``
-    when there was nothing to steal).
-    """
-    scan = scan_reclaimable(plan, base_dir, grace=grace)
-    if victims is not None:
-        for victim in victims:
-            if not 0 <= victim < plan.shards:
-                raise ConfigError(
-                    f"victim shard {victim} out of range "
-                    f"(plan has {plan.shards} shards)"
-                )
-            if victim == index:
-                raise ConfigError(
-                    f"shard {index} cannot steal from itself; "
-                    "resume it instead"
-                )
-            if victim in scan.live:
-                raise LeaseConflictError(
-                    f"shard {victim} holds a live lease — its worker "
-                    "is renewing heartbeats and its cells are not "
-                    "stealable (wait for the lease to expire)"
-                )
-        targets = {v: scan.cells.get(v, []) for v in victims}
-    else:
-        targets = {
-            victim: cells
-            for victim, cells in scan.cells.items()
-            if victim != index
-        }
-    skipped_live = tuple(sorted(set(scan.live) - {index}))
-    now = time.time()
-    candidates = sorted(
-        (cell for cells in targets.values() for cell in cells),
-        key=lambda cell: plan.hashes[cell],
-    )
-    claimed = [
-        cell
-        for cell in candidates
-        if try_claim(base_dir, plan.hashes[cell], index, plan, now)
-    ]
-    if not claimed:
-        return (
-            StealSummary(
-                claimed=0,
-                executed=0,
-                quarantined=0,
-                victims=(),
-                skipped_live=skipped_live,
-                problems=scan.problems,
-            ),
-            None,
-        )
-    configs = plan.configs()
-    directory = shard_dir(base_dir, index)
-    results, supervisor_plan, cache = _run_supervised(
-        [configs[cell] for cell in claimed],
-        directory,
-        manifest_path=directory / "manifest.json",
-        command="shard-steal",
-        workers=workers,
-        policy=policy,
-        argv=argv,
-        lease_ttl=lease_ttl,
-    )
-    for cell in claimed:
-        digest = plan.hashes[cell]
-        source = cache.path_for_hash(digest)
-        if not source.is_file():
-            continue  # quarantined: survives via the manifest record
-        victim_cache = ResultCache(
-            shard_dir(base_dir, plan.shard_of(cell)) / "cache"
-        )
-        victim_cache.ensure_writable()
-        dest = victim_cache.path_for_hash(digest)
-        if not dest.is_file():
-            _copy_entry(source, dest)
-    _ok, failures = split_failures(results)
-    summary = StealSummary(
-        claimed=len(claimed),
-        executed=len(results),
-        quarantined=len(failures),
-        victims=tuple(sorted({plan.shard_of(cell) for cell in claimed})),
-        skipped_live=skipped_live,
-        problems=scan.problems,
-    )
-    return summary, supervisor_plan
+    return results, supervisor_plan
 
 
 # ----------------------------------------------------------------------
@@ -1136,9 +826,9 @@ def merge_shards(
         manifest_file = directory / "manifest.json"
         if manifest_file.is_file():
             # Tolerant: a victim whose manifest was torn mid-write must
-            # not block the merge — its finished cells live in caches
-            # (its own or a stealer's), and anything truly lost shows
-            # up as an incomplete cell below with a clear remedy.
+            # not block the merge — its finished cells live in its
+            # cache, and anything truly lost shows up as an incomplete
+            # cell below with a clear remedy.
             manifest, problems = RunManifest.load_tolerant(manifest_file)
             for problem in problems:
                 warnings.warn(
@@ -1287,20 +977,14 @@ def render_merged(
 # ----------------------------------------------------------------------
 # Fleet-wide progress
 # ----------------------------------------------------------------------
-#: How final each record status is; a cell's effective status is its
-#: best across every shard manifest (a stolen cell is ``ok`` in the
-#: stealer's manifest while still ``pending``/lost in the victim's).
-_STATUS_RANK = {"pending": 0, "running": 1, "quarantined": 2, "ok": 3}
-
-
 @dataclass(frozen=True)
 class ShardStatus:
-    """Progress of one shard, read from the on-disk manifests.
+    """Progress of one shard, read from its on-disk manifest.
 
     ``counts`` always carries every manifest status key
     (pending/running/ok/quarantined) over the shard's *assigned* cells;
-    cells no manifest has recorded yet — including the whole shard when
-    ``started`` is false — count as ``pending``. ``lease`` is the
+    cells its manifest has not recorded yet — including the whole shard
+    when ``started`` is false — count as ``pending``. ``lease`` is the
     shard's own heartbeat-lease state (``none``/``live``/``expired``)
     and ``problems`` lists damage found while reading its manifest
     tolerantly.
@@ -1328,10 +1012,10 @@ def shard_status(
 
     Purely observational: reads each ``shard-NNN/manifest.json`` that
     exists and never writes, so it is safe to run while shards are
-    executing elsewhere. Manifest records whose hash is not in the
-    plan are ignored (a foreign run sharing the directory). Records are
-    ranked *across* manifests and attributed to the plan's owning
-    shard, so stolen cells show as done on the shard that planned them.
+    executing elsewhere. Each shard's cells are counted from its own
+    manifest; records for cells the plan gives to another shard, or
+    not to this plan at all (a foreign run sharing the directory), are
+    ignored.
 
     Manifests are read tolerantly by default: a file truncated at any
     byte offset — a SIGKILLed writer on a non-atomic filesystem —
@@ -1345,46 +1029,34 @@ def shard_status(
     """
     if now is None:
         now = time.time()
-    plan_hashes = set(plan.hashes)
-    best: dict[str, str] = {}
-    started: dict[int, bool] = {}
-    leases: dict[int, str] = {}
-    problems: dict[int, tuple[str, ...]] = {}
-    for index in range(plan.shards):
-        manifest_file = shard_dir(base_dir, index) / "manifest.json"
-        started[index] = manifest_file.is_file()
-        leases[index] = "none"
-        problems[index] = ()
-        if not started[index]:
-            continue
-        if strict:
-            manifest = RunManifest.load(manifest_file)
-        else:
-            manifest, notes = RunManifest.load_tolerant(manifest_file)
-            problems[index] = tuple(notes)
-        leases[index] = lease_state(manifest.lease, now=now)
-        for digest, record in manifest.records.items():
-            if digest not in plan_hashes:
-                continue
-            status = record["status"]
-            if _STATUS_RANK[status] > _STATUS_RANK[
-                best.get(digest, "pending")
-            ]:
-                best[digest] = status
     statuses: list[ShardStatus] = []
     for index in range(plan.shards):
         cells = plan.cell_indices(index)
+        manifest_file = shard_dir(base_dir, index) / "manifest.json"
+        started = manifest_file.is_file()
+        records: dict[str, dict] = {}
+        lease = "none"
+        problems: tuple[str, ...] = ()
+        if started:
+            if strict:
+                manifest = RunManifest.load(manifest_file)
+            else:
+                manifest, notes = RunManifest.load_tolerant(manifest_file)
+                problems = tuple(notes)
+            records = manifest.records
+            lease = lease_state(manifest.lease, now=now)
         counts = {status: 0 for status in STATUSES}
         for cell in cells:
-            counts[best.get(plan.hashes[cell], "pending")] += 1
+            record = records.get(plan.hashes[cell])
+            counts[record["status"] if record else "pending"] += 1
         statuses.append(
             ShardStatus(
                 index=index,
                 cells=len(cells),
-                started=started[index],
+                started=started,
                 counts=counts,
-                lease=leases[index],
-                problems=problems[index],
+                lease=lease,
+                problems=problems,
             )
         )
     return statuses

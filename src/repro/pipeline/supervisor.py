@@ -149,12 +149,8 @@ class SupervisorPolicy:
 
     def allows(self, error_class: ErrorClass, attempts: int) -> bool:
         """Whether a cell with ``attempts`` failures may try again."""
-        if error_class in (
-            ErrorClass.DETERMINISTIC,
-            ErrorClass.CONTENTION,
-        ):
-            # Deterministic failures recur; contended cells belong to
-            # another live worker — neither improves with retries.
+        if error_class is ErrorClass.DETERMINISTIC:
+            # Deterministic failures recur; retrying cannot help.
             return False
         return attempts <= self.max_retries
 
@@ -439,7 +435,7 @@ class Supervisor:
                 if self.manifest is not None:
                     # Renew the heartbeat lease (if one is enabled)
                     # even when no record transitions: one long cell
-                    # must not make this worker look dead to stealers.
+                    # must not let a re-run of this shard start.
                     self.manifest.heartbeat()
                 while waiting and waiting[0][0] <= now:
                     ready.append(heapq.heappop(waiting)[2])

@@ -428,6 +428,78 @@ def test_shard_merge_with_quarantined_cell_exits_partial(
     assert "FAILED(SimulationError: boom)" in report.read_text()
 
 
+def _leased_shard(tmp_path, renewed_ago: float):
+    """A 2-shard compare plan whose shard 0 manifest holds a lease of
+    this process, renewed ``renewed_ago`` seconds ago, with no cell
+    finished."""
+    import json
+    import os
+    import socket
+    import time
+
+    from repro.pipeline import shards
+    from repro.pipeline.manifest import RunManifest
+
+    plan = shards.build_plan(
+        "compare",
+        {"drop_ratio": 0.2, "seeds": [1],
+         "policies": ["webrtc", "adaptive"]},
+        2,
+    )
+    plan_path = tmp_path / "plan.json"
+    plan.save(plan_path)
+    base = tmp_path / "shards"
+    manifest_file = shards.shard_dir(base, 0) / "manifest.json"
+    argv = ["--no-cache", "shard", "run", str(plan_path),
+            "--index", "0", "--out", str(base)]
+    held = RunManifest(
+        manifest_file, run_id="held", argv=argv, command="shard"
+    )
+    held.ensure(plan.hashes[plan.cell_indices(0)[0]])
+    held.lease = {
+        "owner": "held",
+        "host": socket.gethostname(),
+        "pid": os.getpid(),
+        "ttl": 30.0,
+        "renewed": time.time() - renewed_ago,
+    }
+    manifest_file.parent.mkdir(parents=True)
+    manifest_file.write_text(json.dumps(held.to_dict()))
+    return plan_path, base, manifest_file, argv
+
+
+def test_shard_rerun_refuses_a_live_lease(tmp_path, capsys):
+    _plan_path, _base, manifest_file, argv = _leased_shard(tmp_path, 0.0)
+    before = manifest_file.read_bytes()
+    for command in (argv, ["resume", str(manifest_file)]):
+        assert main(command) == 2
+        errors = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("repro-rtc: error:")
+        ]
+        assert len(errors) == 1
+        assert "shard 0 is still running" in errors[0]
+    assert manifest_file.read_bytes() == before
+
+
+def test_shard_status_prints_the_rerun_command(tmp_path, capsys):
+    plan_path, base, _manifest_file, _argv = _leased_shard(
+        tmp_path, 60.0
+    )
+    code = main(
+        ["--no-cache", "shard", "status", str(plan_path),
+         "--dir", str(base)]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert (
+        "shard 0 holds an expired lease with unfinished cells — re-run "
+        f"it with: repro-rtc shard run {plan_path} --index 0 --out {base}"
+    ) in out
+    assert "shard 1 holds" not in out
+
+
 def test_trace_flags_parsed():
     parser = build_parser()
     args = parser.parse_args(

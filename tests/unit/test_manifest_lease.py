@@ -31,12 +31,6 @@ def test_lease_live_then_expired():
     assert lease_state(lease, now=1030.1) == "expired"
 
 
-def test_grace_extends_the_lease():
-    lease = {"renewed": 1000.0, "ttl": 30.0}
-    assert lease_state(lease, now=1035.0) == "expired"
-    assert lease_state(lease, now=1035.0, grace=10.0) == "live"
-
-
 def test_nonpositive_ttl_rejected(tmp_path):
     manifest = RunManifest(tmp_path / "m.json", run_id="r")
     with pytest.raises(ConfigError, match="ttl"):

@@ -413,6 +413,19 @@ class TestRunMany:
         second = run_many([config], cache=cache)
         assert second[0] == first[0]
 
+    def test_invalid_config_is_rejected_before_the_cache(self, tmp_path):
+        # ``put`` does not validate: this is the entry an older build
+        # wrote for a seed that orjson reads back as a float.
+        cache = ResultCache(tmp_path)
+        config = dataclasses.replace(
+            scenarios.step_drop_config(0.2, seed=1), seed=2**70 + 1
+        )
+        result = run_session(short_config())
+        cache.put(config, dataclasses.replace(result, seed=config.seed))
+        assert cache.get(config) is not None
+        with pytest.raises(ConfigError, match="seed"):
+            run_many([config], cache=cache)
+
     def test_progress_callback_reports_hits_and_total(self, tmp_path):
         cache = ResultCache(tmp_path)
         config = short_config()

@@ -82,22 +82,6 @@ def test_status_counts_unrecorded_cells_as_pending(tmp_path):
     assert status0.done() == 0
 
 
-def test_stolen_cells_count_for_the_planning_shard(tmp_path):
-    # A survivor's manifest carries ok records for cells *planned* on
-    # the dead shard; status must attribute them to the planning shard.
-    plan = _fleet_plan(shards=2)
-    victim_digest = plan.hashes[plan.cell_indices(0)[0]]
-    stealer = shard_dir(tmp_path, 1)
-    stealer.mkdir(parents=True)
-    _write_manifest(
-        stealer / "manifest.json", {victim_digest: {"status": "ok"}}
-    )
-    [status0, status1] = shard_status(plan, tmp_path)
-    assert status0.counts["ok"] == 1
-    assert not status0.started
-    assert status1.counts["ok"] == 0
-
-
 # ----------------------------------------------------------------------
 # Corrupt-manifest recovery
 # ----------------------------------------------------------------------

@@ -2,11 +2,12 @@
 """Self-chaos proof for the crash-surviving shard fabric.
 
 Runs a real shard grid across worker subprocesses, murders one of them
-mid-run (SIGKILL — no cleanup handlers get to run), tears its manifest
-at an arbitrary byte offset to simulate a write interrupted on a
-non-atomic filesystem, lets the victim's heartbeat lease expire, has a
-survivor *steal* the dead shard's cells, resumes the victim (which must
-cache-serve), merges, and **byte-compares** the merged report in every
+as soon as its first result reaches its cache (SIGKILL — no cleanup
+handlers get to run), tears its manifest at an arbitrary byte offset to
+simulate a write interrupted on a non-atomic filesystem, re-runs the
+victim's index at once (its holder is dead, so its lease does not
+block the re-run, and every result already cached must be served from
+there), merges, and **byte-compares** the merged report in every
 format against an undisturbed single-process run of the same grid.
 
 Along the way it also proves the observability contract: ``repro-rtc
@@ -30,6 +31,7 @@ import argparse
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -41,17 +43,23 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from repro.pipeline import shards  # noqa: E402
-from repro.pipeline.manifest import RunManifest, lease_state  # noqa: E402
 from repro.pipeline.parallel import run_many  # noqa: E402
 
 #: Overall wall-clock budget for the scenario (generous; CI kills us
 #: long after this would have fired).
 SCENARIO_TIMEOUT = 900.0
 
-#: Lease TTL for the chaos workers: short enough that the harness does
-#: not idle, long enough that a healthy worker never looks dead (the
-#: supervisor heartbeats at ttl/3 on a ~0.5 s tick).
-LEASE_TTL = 2.0
+#: A result-cache entry's file name.
+ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
+
+
+def _cache_entries(cache: Path) -> int:
+    """How many result entries a shard cache holds."""
+    if not cache.is_dir():
+        return 0
+    return sum(
+        1 for path in cache.iterdir() if ENTRY_NAME.fullmatch(path.name)
+    )
 
 
 def _cli(*argv: str) -> list[str]:
@@ -140,12 +148,9 @@ class Harness:
             range(plan.shards),
             key=lambda i: (len(plan.cell_indices(i)), -i),
         )
-        survivor = next(
-            i for i in range(plan.shards) if i != victim
-        )
         offset = self.chaos_workers(plan, victim)
         self.torn_status_checks(victim, offset)
-        self.steal_and_resume(plan, victim, survivor)
+        self.rerun_victim(victim)
         self.merge_and_compare(plan, reference)
 
         report = {
@@ -153,7 +158,6 @@ class Harness:
             "plan_id": plan.plan_id,
             "shards": plan.shards,
             "victim": victim,
-            "survivor": survivor,
             "tear_offset": offset,
             "seed": self.args.seed,
             "checks": self.checks,
@@ -187,8 +191,6 @@ class Harness:
                     str(index),
                     "--out",
                     str(self.shard_dir),
-                    "--lease-ttl",
-                    str(LEASE_TTL),
                 ),
                 cwd=ROOT,
                 env=self.env,
@@ -196,17 +198,17 @@ class Harness:
                 stderr=subprocess.DEVNULL,
             )
 
-        victim_manifest = (
-            shards.shard_dir(self.shard_dir, victim) / "manifest.json"
-        )
-        # Kill as soon as the victim has registered work but (almost
-        # surely) not finished it: the manifest file appears before the
-        # first cell executes.
+        victim_dir = shards.shard_dir(self.shard_dir, victim)
+        victim_manifest = victim_dir / "manifest.json"
+        # Kill as soon as the victim's first result reaches its cache
+        # (the trigger CI's sweep-shards crash leg uses): it has
+        # finished work to serve on the re-run, and (almost surely)
+        # work left to do. ``wait`` reaps it, so its pid is gone.
         killed_mid_run = False
         while time.monotonic() < self.deadline:
             if procs[victim].poll() is not None:
                 break  # victim finished before we could murder it
-            if victim_manifest.is_file():
+            if _cache_entries(victim_dir / "cache"):
                 procs[victim].send_signal(signal.SIGKILL)
                 procs[victim].wait(timeout=self._remaining())
                 killed_mid_run = True
@@ -223,7 +225,7 @@ class Harness:
                 continue
             code = proc.wait(timeout=self._remaining())
             self.check(
-                f"survivor shard {index} finished cleanly", code == 0,
+                f"shard {index} finished cleanly", code == 0,
                 f"exit {code}",
             )
 
@@ -282,45 +284,14 @@ class Harness:
         )
 
     # ------------------------------------------------------------------
-    def steal_and_resume(
-        self, plan: shards.ShardPlan, victim: int, survivor: int
-    ) -> None:
-        # Wait out the victim's lease (whatever of it survived the
-        # tear; a fully torn lease is immediately reclaimable).
-        victim_manifest = (
-            shards.shard_dir(self.shard_dir, victim) / "manifest.json"
+    def rerun_victim(self, victim: int) -> None:
+        # Straight after the tear, with no wait: the killed holder is
+        # reaped, so its lease (if the tear left one) reads as expired.
+        # Everything in the victim's cache must be served from there.
+        cached = _cache_entries(
+            shards.shard_dir(self.shard_dir, victim) / "cache"
         )
-        while time.monotonic() < self.deadline:
-            manifest, _notes = RunManifest.load_tolerant(victim_manifest)
-            if lease_state(manifest.lease) != "live":
-                break
-            time.sleep(0.1)
-
-        steal = self.run_cli(
-            "--no-cache",
-            "--workers",
-            "1",
-            "shard",
-            "steal",
-            str(self.plan_path),
-            "--index",
-            str(survivor),
-            "--dir",
-            str(self.shard_dir),
-            "--lease-ttl",
-            str(LEASE_TTL),
-            check=False,
-        )
-        self.check(
-            "survivor stole the victim's cells",
-            steal.returncode == 0 and "stole" in steal.stderr,
-            steal.stderr.strip().splitlines()[-1] if steal.stderr else "",
-        )
-
-        # The victim comes back from the dead: its resume must be
-        # served from caches (its own entries plus the stolen copies),
-        # re-executing nothing.
-        resume = self.run_cli(
+        rerun = self.run_cli(
             "--no-cache",
             "--workers",
             "1",
@@ -331,16 +302,17 @@ class Harness:
             str(victim),
             "--out",
             str(self.shard_dir),
-            "--lease-ttl",
-            str(LEASE_TTL),
             check=False,
         )
-        cells = len(plan.cell_indices(victim))
-        served = f"{cells} from cache" in resume.stderr
+        summary = (rerun.stderr.strip().splitlines() or [""])[-1]
+        served = re.search(r"(\d+) from cache", summary)
         self.check(
-            "victim resume is fully cache-served",
-            resume.returncode == 0 and served,
-            resume.stderr.strip().splitlines()[-1] if resume.stderr else "",
+            "victim re-run serves its cached cells",
+            rerun.returncode == 0
+            and cached >= 1
+            and served is not None
+            and int(served.group(1)) == cached,
+            f"{cached} cached before the re-run; {summary}",
         )
 
     # ------------------------------------------------------------------
