@@ -1,17 +1,12 @@
-"""Post-hoc analysis: latency episodes, CI aggregation, reports."""
+"""Post-hoc analysis: latency episodes, drop response, reports."""
 
-from .aggregate import MeanCi, compare_with_ci, mean_ci, metric_over_seeds
 from .episodes import DropResponse, LatencyEpisode, drop_response, latency_episodes
 from .report import session_report
 
 __all__ = [
     "DropResponse",
     "LatencyEpisode",
-    "MeanCi",
-    "compare_with_ci",
     "drop_response",
     "latency_episodes",
-    "mean_ci",
-    "metric_over_seeds",
     "session_report",
 ]

@@ -5,8 +5,11 @@ Subcommands:
 * ``run`` — one session (policy, drop ratio, duration, seed) with a
   summary printout.
 * ``table1`` — regenerate the headline table.
-* ``figure`` — print one figure's data series.
 * ``compare`` — all policies on one scenario.
+* ``experiments`` — print the evaluation's artifacts (Table 1, the
+  figures, ablations, comparisons and extensions), or write each as
+  ``<name>.json`` plus the ``<name>.txt`` rendered from it (see
+  :mod:`repro.experiments.artifacts`).
 * ``trace`` — run one telemetry-enabled session and export its probe
   series as JSONL or CSV (see ``docs/telemetry.md``).
 * ``profile`` — run one pinned session under cProfile and print the
@@ -64,14 +67,7 @@ from .errors import (
     ConfigError,
     ReproError,
 )
-from .experiments import (
-    ablations,
-    figures,
-    fleet,
-    robustness,
-    scenarios,
-)
-from .metrics.summary import format_series
+from .experiments import artifacts, fleet, robustness, scenarios
 from .pipeline.config import PolicyName
 from .pipeline.manifest import (
     RunManifest,
@@ -211,18 +207,28 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
-    producers = {
-        1: lambda: figures.figure1(seed=args.seed),
-        2: lambda: figures.figure2(seed=args.seed),
-        3: lambda: figures.figure3(seed=args.seed),
-        4: lambda: figures.figure4(seeds=(args.seed,)),
-    }
-    series_map = producers[args.number]()
-    for name, series in series_map.items():
-        print(format_series(name, series.x, series.y, "x", "y"))
-        print()
-    return 0
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """Print the named artifacts (default: all), blank-line separated,
+    or write each one's ``.json`` and ``.txt`` under ``--out``.
+
+    Raises:
+        ConfigError: an unknown name (before anything runs).
+    """
+    unknown = [name for name in args.names if name not in artifacts.ARTIFACTS]
+    if unknown:
+        raise ConfigError(
+            f"unknown artifact(s) {', '.join(unknown)} (available: "
+            f"{', '.join(artifacts.ARTIFACTS)})"
+        )
+    for index, name in enumerate(args.names or artifacts.ARTIFACTS):
+        if args.out is not None:
+            json_path, txt_path = artifacts.write(name, args.out)
+            print(f"wrote {json_path} and {txt_path}", file=sys.stderr)
+            continue
+        if index:
+            sys.stdout.write("\n")
+        sys.stdout.write(artifacts.render(artifacts.produce(name)))
+    return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -243,40 +249,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"audio mean latency : "
               f"{result.mean_audio_latency() * 1e3:.1f} ms")
         print(f"audio loss         : {result.audio_loss_fraction():.3%}")
-    return 0
-
-
-def _cmd_extensions(args: argparse.Namespace) -> int:
-    from .experiments import extensions
-
-    seeds = tuple(range(1, args.seeds + 1))
-    print(extensions.format_extension_rows(
-        extensions.estimator_comparison(seeds=seeds),
-        "Abl. E — delay estimators"))
-    print()
-    print(extensions.format_extension_rows(
-        extensions.recovery_mechanism_comparison(seeds=seeds),
-        "Ext. F — PLI vs NACK"))
-    print()
-    print(extensions.format_extension_rows(
-        extensions.aqm_comparison(seeds=seeds),
-        "Ext. G — drop-tail vs CoDel"))
-    return 0
-
-
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    seeds = tuple(range(1, args.seeds + 1))
-    print(ablations.format_rows(
-        ablations.detector_ablation(args.drop_ratio, seeds),
-        "Ablation A — detector signals"))
-    print()
-    print(ablations.format_rows(
-        ablations.strategy_ablation(args.drop_ratio, seeds),
-        "Ablation B — strategies"))
-    print()
-    print(ablations.format_rows(
-        ablations.rtt_sensitivity(args.drop_ratio, seeds=seeds),
-        "Ablation C — RTT sensitivity"))
     return 0
 
 
@@ -601,10 +573,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_supervision_flags(t1_p)
     t1_p.set_defaults(func=_cmd_grid, grid="table1")
 
-    fig_p = sub.add_parser("figure", help="print one figure's data")
-    fig_p.add_argument("number", type=int, choices=[1, 2, 3, 4])
-    fig_p.add_argument("--seed", type=int, default=1)
-    fig_p.set_defaults(func=_cmd_figure)
+    exp_p = sub.add_parser(
+        "experiments",
+        help="print or write the evaluation's artifacts "
+        "(Table 1, figures, ablations, comparisons, extensions)",
+    )
+    exp_p.add_argument(
+        "names",
+        nargs="*",
+        metavar="NAME",
+        help="artifacts to produce (default: all): "
+        + ", ".join(artifacts.ARTIFACTS),
+    )
+    exp_p.add_argument(
+        "--out",
+        default=None,
+        metavar="DIR",
+        help="write DIR/NAME.json and DIR/NAME.txt instead of printing",
+    )
+    exp_p.set_defaults(func=_cmd_experiments)
 
     cmp_p = sub.add_parser("compare", help="compare all policies")
     cmp_p.add_argument("--drop-ratio", type=float)
@@ -612,11 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.set_defaults(
         func=_cmd_grid, grid="compare", format="table", output=None
     )
-
-    abl_p = sub.add_parser("ablate", help="run the ablations")
-    abl_p.add_argument("--drop-ratio", type=float, default=0.2)
-    abl_p.add_argument("--seeds", type=int, default=3)
-    abl_p.set_defaults(func=_cmd_ablate)
 
     rep_p = sub.add_parser(
         "report", help="full analysis report of one session"
@@ -632,12 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--nack", action="store_true")
     rep_p.add_argument("--audio", action="store_true")
     rep_p.set_defaults(func=_cmd_report)
-
-    ext_p = sub.add_parser(
-        "extensions", help="estimator/NACK/AQM extension experiments"
-    )
-    ext_p.add_argument("--seeds", type=int, default=3)
-    ext_p.set_defaults(func=_cmd_extensions)
 
     trace_p = sub.add_parser(
         "trace",

@@ -1,8 +1,10 @@
 """Experiment definitions: canonical scenarios plus one module per
-table/figure of the reproduced evaluation (see DESIGN.md's index)."""
+table/figure of the reproduced evaluation (see DESIGN.md's index), and
+:data:`ARTIFACTS`, the one producer of each committed artifact."""
 
 from . import (
     ablations,
+    artifacts,
     comparison,
     extensions,
     figures,
@@ -11,9 +13,12 @@ from . import (
     scenarios,
     table1,
 )
+from .artifacts import ARTIFACTS
 
 __all__ = [
+    "ARTIFACTS",
     "ablations",
+    "artifacts",
     "comparison",
     "extensions",
     "figures",

@@ -6,6 +6,8 @@
 * **Ext. G** — bottleneck queue discipline: drop-tail vs CoDel.
 * **Ext. H** — fast recovery probing after the drop ends.
 * **Ext. I** — collateral audio latency during video overload.
+* **Ext. J** — two flows sharing one bottleneck across a drop.
+* **Ext. K** — SFU simulcast layer switching vs encoder adaptation.
 """
 
 from __future__ import annotations
@@ -193,6 +195,22 @@ def fast_recovery_comparison(
     return rows
 
 
+def format_recovery_rows(rows: list[RecoveryRow], title: str) -> str:
+    """Aligned text table for the fast-recovery experiment."""
+    lines = [
+        title,
+        f"{'variant':<12} {'bitrate':>10} {'latency':>9} {'SSIM':>8}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.variant:<12} "
+            f"{row.post_recovery_bitrate / 1e3:>7.0f}kbps "
+            f"{row.post_recovery_latency * 1e3:>7.1f}ms "
+            f"{row.post_recovery_ssim:>8.4f}"
+        )
+    return "\n".join(lines)
+
+
 @dataclass(frozen=True)
 class AudioRow:
     """Audio collateral damage during the video drop."""
@@ -237,6 +255,22 @@ def audio_impact(
             )
         )
     return rows
+
+
+def format_audio_rows(rows: list[AudioRow], title: str) -> str:
+    """Aligned text table for the audio-impact experiment."""
+    lines = [
+        title,
+        f"{'policy':<10} {'steady':>9} {'in drop':>9} {'loss':>7}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.policy:<10} "
+            f"{row.steady_audio_latency * 1e3:>7.1f}ms "
+            f"{row.drop_audio_latency * 1e3:>7.1f}ms "
+            f"{row.audio_loss:>7.3f}"
+        )
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -297,6 +331,82 @@ def fairness_comparison(
             )
         )
     return rows
+
+
+@dataclass(frozen=True)
+class SimulcastRow:
+    """One variant's drop-window latency and quality (seed-averaged)."""
+
+    variant: str
+    mean_latency: float
+    p95_latency: float
+    drop_ssim: float
+    mean_ssim: float
+
+
+def simulcast_comparison(
+    drop_ratio: float = 0.2, seeds: tuple[int, ...] = (1, 2, 3)
+) -> list[SimulcastRow]:
+    """Ext. K: encoder adaptation vs SFU simulcast layer switching.
+
+    The webrtc and adaptive sessions run as one batch; the simulcast
+    sessions run inline, one :class:`~repro.sfu.SimulcastSession` per
+    seed over the same network.
+    """
+    from ..sfu import SimulcastConfig, SimulcastSession
+
+    configs = [scenarios.step_drop_config(drop_ratio, seed=s) for s in seeds]
+    results = run_many(
+        [
+            dataclasses.replace(config, policy=policy)
+            for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE)
+            for config in configs
+        ]
+    )
+    simulcast = [
+        SimulcastSession(
+            SimulcastConfig(c.network, duration=c.duration, seed=c.seed)
+        ).run()
+        for c in configs
+    ]
+    window = scenarios.DROP_WINDOW
+
+    def row(variant: str, runs: list) -> SimulcastRow:
+        def mean(metric) -> float:
+            return float(np.mean([metric(r) for r in runs]))
+
+        return SimulcastRow(
+            variant=variant,
+            mean_latency=mean(lambda r: r.mean_latency(*window)),
+            p95_latency=mean(lambda r: r.percentile_latency(95, *window)),
+            drop_ssim=mean(lambda r: r.mean_displayed_ssim(*window)),
+            mean_ssim=mean(lambda r: r.mean_displayed_ssim()),
+        )
+
+    n = len(seeds)
+    return [
+        row("webrtc", results[:n]),
+        row("adaptive", results[n:]),
+        row("simulcast", simulcast),
+    ]
+
+
+def format_simulcast_rows(rows: list[SimulcastRow], title: str) -> str:
+    """Aligned text table for the simulcast experiment."""
+    lines = [
+        title,
+        f"{'variant':<12} {'mean lat':>10} {'p95 lat':>10} "
+        f"{'SSIM drop':>10} {'SSIM all':>9}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row.variant:<12} "
+            f"{row.mean_latency * 1e3:>8.1f}ms "
+            f"{row.p95_latency * 1e3:>8.1f}ms "
+            f"{row.drop_ssim:>10.4f} "
+            f"{row.mean_ssim:>9.4f}"
+        )
+    return "\n".join(lines)
 
 
 def format_fairness_rows(rows: list[FairnessRow], title: str) -> str:

@@ -1,8 +1,10 @@
 """Figure data generators (the poster's plots, as data series).
 
-Each function returns plain data (lists/dicts of series); the benchmark
-harness prints them and tests assert on their shape. No plotting
-dependency is required — the series are the reproduction artifact.
+Each function returns plain data (lists/dicts of series);
+:func:`format_figure` renders them as the ``figure*`` artifacts of
+:mod:`repro.experiments.artifacts`, and tests assert on their shape. No
+plotting dependency is required — the series are the reproduction
+artifact.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..metrics.latency import cdf
+from ..metrics.summary import format_series
 from ..pipeline.config import PolicyName, SessionConfig
 from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
@@ -186,3 +189,11 @@ def figure4(
         reduction.failed = marker
         ssim_change.failed = marker
     return {"reduction": reduction, "ssim_change": ssim_change}
+
+
+def format_figure(series_map: dict[str, Series], title: str) -> str:
+    """The title, then one aligned x/y column block per series."""
+    blocks = [title]
+    for name, series in series_map.items():
+        blocks.append(format_series(name, series.x, series.y, "x", "y"))
+    return "\n\n".join(blocks)

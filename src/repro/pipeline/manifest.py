@@ -484,14 +484,6 @@ class RunManifest:
             out[record["status"]] = out.get(record["status"], 0) + 1
         return out
 
-    def unfinished(self) -> list[str]:
-        """Hashes not yet ok (pending/running/quarantined)."""
-        return [
-            config_hash
-            for config_hash, record in self.records.items()
-            if record["status"] != "ok"
-        ]
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------

@@ -427,16 +427,10 @@ def configure(
     return _context
 
 
-def execution_context() -> ExecutionContext:
-    """The live process-wide defaults (mutable)."""
-    return _context
-
-
 def run_many(
     configs: Iterable[object],
     workers: int | None = None,
     cache: ResultCache | None | object = _UNSET,
-    progress: Callable[[int, int], None] | None = None,
     plan: SupervisorPlan | None = None,
 ) -> list[object]:
     """Run a batch of registered configs; results in input order.
@@ -455,8 +449,6 @@ def run_many(
         workers: process count; ``None`` uses the configured default.
         cache: a :class:`ResultCache`, or ``None`` to disable caching;
             leave unset to use the configured default.
-        progress: optional ``callback(done, total)`` fired after the
-            cache scan and after the execution phase.
         plan: a :class:`~repro.pipeline.supervisor.SupervisorPlan`;
             ``None`` uses the configured default (none, out of the box).
 
@@ -497,9 +489,10 @@ def run_many(
             plan.stats.cached += 1
             if manifest is not None:
                 manifest.mark_ok(hashes[index], cached=True)
-
-    if progress is not None:
-        progress(len(batch) - len(misses), len(batch))
+    if manifest is not None:
+        # The whole batch and its hits reach disk before any miss runs:
+        # the hits' saves above are throttled.
+        manifest.save(force=True)
 
     if plan is None and workers <= 1:
         for index in misses:
@@ -522,8 +515,6 @@ def run_many(
             "partial" if failed else "complete", plan.stats.to_counters()
         )
 
-    if progress is not None:
-        progress(len(batch), len(batch))
     return results
 
 

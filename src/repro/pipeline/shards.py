@@ -1012,8 +1012,10 @@ def shard_status(
 
     Purely observational: reads each ``shard-NNN/manifest.json`` that
     exists and never writes, so it is safe to run while shards are
-    executing elsewhere. Each shard's cells are counted from its own
-    manifest; records for cells the plan gives to another shard, or
+    executing elsewhere. A cell whose entry is in its shard's cache is
+    ``ok`` (the rule :func:`merge_shards` applies), however far the
+    manifest has got; the others are counted from the shard's own
+    manifest. Records for cells the plan gives to another shard, or
     not to this plan at all (a foreign run sharing the directory), are
     ignored.
 
@@ -1032,7 +1034,9 @@ def shard_status(
     statuses: list[ShardStatus] = []
     for index in range(plan.shards):
         cells = plan.cell_indices(index)
-        manifest_file = shard_dir(base_dir, index) / "manifest.json"
+        directory = shard_dir(base_dir, index)
+        manifest_file = directory / "manifest.json"
+        cache = ResultCache(directory / "cache")
         started = manifest_file.is_file()
         records: dict[str, dict] = {}
         lease = "none"
@@ -1047,7 +1051,11 @@ def shard_status(
             lease = lease_state(manifest.lease, now=now)
         counts = {status: 0 for status in STATUSES}
         for cell in cells:
-            record = records.get(plan.hashes[cell])
+            digest = plan.hashes[cell]
+            if cache.path_for_hash(digest).is_file():
+                counts["ok"] += 1
+                continue
+            record = records.get(digest)
             counts[record["status"] if record else "pending"] += 1
         statuses.append(
             ShardStatus(

@@ -1,10 +1,9 @@
-"""Analysis helpers: episodes, drop response, CI aggregation, report."""
+"""Analysis helpers: episodes, drop response, report."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.aggregate import mean_ci, metric_over_seeds
 from repro.analysis.episodes import drop_response, latency_episodes
 from repro.analysis.report import session_report
 from repro.errors import ReproError
@@ -74,50 +73,6 @@ def test_drop_response_requires_frames():
     empty.finalize()
     with pytest.raises(ReproError):
         drop_response(empty, drop_time=5.0)
-
-
-def test_mean_ci_basics():
-    ci = mean_ci([1.0, 2.0, 3.0])
-    assert ci.mean == pytest.approx(2.0)
-    assert ci.low < 2.0 < ci.high
-    assert ci.n == 3
-    assert "±" in str(ci)
-
-
-def test_mean_ci_single_sample_degenerate():
-    ci = mean_ci([5.0])
-    assert ci.mean == ci.low == ci.high == 5.0
-
-
-def test_mean_ci_constant_samples():
-    ci = mean_ci([2.0, 2.0, 2.0])
-    assert ci.half_width == 0.0
-
-
-def test_mean_ci_validation():
-    with pytest.raises(ReproError):
-        mean_ci([])
-    with pytest.raises(ReproError):
-        mean_ci([1.0], confidence=1.5)
-
-
-def test_metric_over_seeds_runs_sessions():
-    from repro.pipeline.config import NetworkConfig, PolicyName, SessionConfig
-    from repro.traces.bandwidth import BandwidthTrace
-    from repro.units import mbps
-
-    config = SessionConfig(
-        network=NetworkConfig(
-            capacity=BandwidthTrace.constant(mbps(2)), queue_bytes=140_000
-        ),
-        policy=PolicyName.WEBRTC,
-        duration=4.0,
-    )
-    ci = metric_over_seeds(
-        config, lambda r: r.mean_latency(), seeds=(1, 2)
-    )
-    assert ci.n == 2
-    assert 0 < ci.mean < 0.2
 
 
 def test_session_report_sections():

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import ARTIFACTS
+
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
 def test_parser_requires_subcommand():
@@ -35,12 +40,18 @@ def test_invalid_policy_rejected():
         build_parser().parse_args(["run", "--policy", "bogus"])
 
 
-def test_figure_choices():
+def test_figure_choices(capsys):
     parser = build_parser()
-    args = parser.parse_args(["figure", "2"])
-    assert args.number == 2
-    with pytest.raises(SystemExit):
-        parser.parse_args(["figure", "9"])
+    args = parser.parse_args(["experiments", "figure2"])
+    assert args.names == ["figure2"]
+    assert parser.parse_args(["experiments"]).names == []
+    # An unknown name is a usage error that lists every artifact, and
+    # nothing runs (figure2 comes first and is not printed).
+    assert main(["--no-cache", "experiments", "figure2", "figure9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "figure9" in captured.err
+    assert all(name in captured.err for name in ARTIFACTS)
 
 
 def test_report_subcommand_executes(capsys):
@@ -64,8 +75,32 @@ def test_report_flags_parsed():
 
 def test_extensions_flag_parsed():
     parser = build_parser()
-    args = parser.parse_args(["extensions", "--seeds", "2"])
-    assert args.seeds == 2
+    args = parser.parse_args(
+        ["experiments", "extension_e_estimators", "--out", "results"]
+    )
+    assert args.names == ["extension_e_estimators"]
+    assert args.out == "results"
+    assert parser.parse_args(["experiments"]).out is None
+    # The seed and drop-ratio flags went with figure/ablate/extensions.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["experiments", "--seeds", "2"])
+
+
+def test_experiments_prints_and_writes_the_committed_artifact(
+    tmp_path, capsys
+):
+    assert main(["--no-cache", "experiments", "figure2"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == (RESULTS_DIR / "figure2.txt").read_text("utf-8")
+    out = tmp_path / "results"
+    assert main(
+        ["--cache-dir", str(tmp_path / "cache"), "--workers", "2",
+         "experiments", "figure2", "--out", str(out)]
+    ) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["figure2.json", "figure2.txt"]
+    for name in names:
+        assert (out / name).read_bytes() == (RESULTS_DIR / name).read_bytes()
 
 
 def test_unwritable_cache_dir_is_clean_error(tmp_path, capsys):

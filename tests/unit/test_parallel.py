@@ -21,7 +21,6 @@ from repro.pipeline.parallel import (
     config_to_dict,
     config_type_spec,
     configure,
-    execution_context,
     run_many,
 )
 from repro.pipeline.results import (
@@ -426,18 +425,6 @@ class TestRunMany:
         with pytest.raises(ConfigError, match="seed"):
             run_many([config], cache=cache)
 
-    def test_progress_callback_reports_hits_and_total(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        config = short_config()
-        run_many([config], cache=cache)
-        calls = []
-        run_many(
-            [config, short_config(seed=9)],
-            cache=cache,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls == [(1, 2), (2, 2)]
-
     def test_serial_failure_keeps_finished_cells_cached(
         self, tmp_path, monkeypatch
     ):
@@ -474,7 +461,7 @@ class TestRunMany:
         assert multiprocessing.active_children() == []
 
     def test_configure_sets_defaults(self, tmp_path):
-        original = execution_context()
+        original = configure()
         before = (original.workers, original.cache)
         try:
             cache = ResultCache(tmp_path)

@@ -82,6 +82,21 @@ def test_status_counts_unrecorded_cells_as_pending(tmp_path):
     assert status0.done() == 0
 
 
+def test_status_counts_a_cached_cell_ok_before_its_record(tmp_path):
+    # A shard killed on its first cache hit: the hit's entry is in the
+    # shard's cache, but the manifest on disk has no records yet.
+    plan = _fleet_plan()
+    cells0 = plan.cell_indices(0)
+    shard0 = shard_dir(tmp_path, 0)
+    (shard0 / "cache").mkdir(parents=True)
+    _write_manifest(shard0 / "manifest.json", {})
+    (shard0 / "cache" / f"{plan.hashes[cells0[0]]}.json").write_text("{}")
+    status0 = shard_status(plan, tmp_path)[0]
+    assert status0.counts == {
+        "pending": 1, "running": 0, "ok": 1, "quarantined": 0
+    }
+
+
 # ----------------------------------------------------------------------
 # Corrupt-manifest recovery
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ from repro.errors import ConfigError, ErrorClass
 from repro.pipeline import shards
 from repro.pipeline.config import PolicyName
 from repro.pipeline.manifest import RunManifest
-from repro.pipeline.parallel import config_hash
+from repro.pipeline.parallel import ResultCache, config_hash, run_config
 from repro.pipeline.shards import ShardPlan, build_plan
-from repro.pipeline.supervisor import FailedSession
+from repro.pipeline.supervisor import FailedSession, Supervisor
 
 SMALL_TABLE1 = {"ratios": [0.3, 0.2], "seeds": [1, 2]}
 TINY_COMPARE = {
@@ -333,6 +333,33 @@ def test_merge_order_invariance(tmp_path):
         assert cache_a.path_for_hash(digest).read_bytes() == (
             cache_b.path_for_hash(digest).read_bytes()
         )
+
+
+def test_shard_manifest_lists_the_batch_before_the_first_miss(
+    tmp_path, monkeypatch
+):
+    plan = build_plan("compare", TINY_COMPARE, 1)
+    configs = plan.configs()
+    directory = shards.shard_dir(tmp_path, 0)
+    ResultCache(directory / "cache").put(
+        configs[0], run_config(configs[0])
+    )
+    on_disk = []
+
+    def run(self, cells):
+        # The misses are about to run: what would a crash leave?
+        manifest = json.loads((directory / "manifest.json").read_text())
+        on_disk.append(manifest["records"])
+        return {}
+
+    monkeypatch.setattr(Supervisor, "run", run)
+    shards.run_shard(plan, 0, tmp_path, workers=1)
+    [records] = on_disk
+    statuses = {digest: record["status"] for digest, record in records.items()}
+    assert statuses == {
+        digest: "ok" if cell == 0 else "pending"
+        for cell, digest in enumerate(plan.hashes)
+    }
 
 
 def test_merge_refuses_incomplete_cells(tmp_path):
