@@ -25,7 +25,6 @@ Quick start::
 """
 
 from .pipeline import (
-    ComparisonRow,
     MediaFlow,
     MultiFlowSession,
     NetworkConfig,
@@ -45,7 +44,6 @@ from .pipeline import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "ComparisonRow",
     "MediaFlow",
     "MultiFlowSession",
     "NetworkConfig",

@@ -5,10 +5,10 @@ Subcommands:
 * ``run`` — one session (policy, drop ratio, duration, seed) with a
   summary printout.
 * ``table1`` — regenerate the headline table.
-* ``compare`` — all policies on one scenario.
 * ``experiments`` — print the evaluation's artifacts (Table 1, the
-  figures, ablations, comparisons and extensions), or write each as
-  ``<name>.json`` plus the ``<name>.txt`` rendered from it (see
+  figures, ablations, comparisons, extensions, the chaos matrix and
+  the fleet report), or write each as ``<name>.json`` plus the
+  ``<name>.txt`` rendered from it (see
   :mod:`repro.experiments.artifacts`).
 * ``trace`` — run one telemetry-enabled session and export its probe
   series as JSONL or CSV (see ``docs/telemetry.md``).
@@ -23,18 +23,19 @@ Subcommands:
 * ``resume`` — replay an interrupted supervised batch from its run
   manifest; finished cells come from the result cache.
 * ``shard`` — the distributed sweep fabric (see
-  ``docs/running-fast.md``): ``shard plan`` partitions a grid into K
-  deterministic shards, ``shard run`` executes one shard anywhere with
-  the supervised executor (per-shard manifest + cache + heartbeat
-  lease; a re-run, or ``repro-rtc resume``, finishes a dead shard and
-  refuses one whose lease is live), ``shard status`` reports per-shard
-  progress and lease health, and ``shard merge`` folds shard outputs
-  into one report byte-identical to a single-host serial run.
+  ``docs/running-fast.md``): ``shard plan`` partitions any artifact's
+  batch into K deterministic shards, ``shard run`` executes one shard
+  anywhere with the supervised executor (per-shard manifest + cache +
+  heartbeat lease; a re-run, or ``repro-rtc resume``, finishes a dead
+  shard and refuses one whose lease is live), ``shard status`` reports
+  per-shard progress and lease health, and ``shard merge`` folds shard
+  outputs into one report byte-identical to a single-host serial run.
 * ``cache`` — inspect or clear the persistent result cache.
 
-``table1``, ``compare``, ``chaos`` and ``fleet`` are grids: each runs
-its :class:`~repro.pipeline.shards.GridDef` through
-:func:`~repro.pipeline.shards.run_grid`, the same definition ``shard
+``table1``, ``chaos`` and ``fleet`` print the artifacts of the same
+names with flags for their params: each runs its
+:data:`~repro.experiments.ARTIFACTS` entry through
+:func:`~repro.experiments.artifacts.produce`, the same entry ``shard
 plan`` partitions, so both routes print the same bytes.
 
 Global execution options (before the subcommand): ``--workers N`` fans
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -122,8 +122,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Grid params that a subcommand's ``--quick`` pins; they win over the
-#: matching flags.
+#: Artifact params that a subcommand's ``--quick`` pins; they win over
+#: the matching flags.
 _QUICK = {
     "chaos": {
         "scenarios": ["steady"],
@@ -140,23 +140,24 @@ _QUICK = {
     },
 }
 
-#: Flags (argparse dests) that are grid params under the same name.
-_GRID_FLAGS = (
-    "ratios", "baseline", "drop_ratio", "policies", "scenarios",
-    "subscribers", "duration", "faults", "fault_at",
+#: Flags (argparse dests) that are artifact params under the same name.
+_PARAM_FLAGS = (
+    "ratios", "policies", "scenarios", "subscribers", "duration",
+    "faults", "fault_at",
 )
 
 
-def _grid_params(args: argparse.Namespace) -> dict:
-    """The grid params the given flags ask for.
+def _params(args: argparse.Namespace) -> dict:
+    """The artifact params the given flags ask for.
 
-    Grid flags default to ``None`` and are left out when unset, so each
-    grid's ``normalize`` is the one place its defaults live.
-    ``--seeds N`` means seeds ``1..N``; ``--quick`` applies a preset.
+    Param flags default to ``None`` and are left out when unset, so each
+    :data:`~repro.experiments.ARTIFACTS` entry is the one place its
+    defaults live. ``--seeds N`` means seeds ``1..N``; ``--quick``
+    applies a preset.
     """
     params = {
         key: getattr(args, key)
-        for key in _GRID_FLAGS
+        for key in _PARAM_FLAGS
         if getattr(args, key, None) is not None
     }
     if getattr(args, "seeds", None) is not None:
@@ -181,29 +182,24 @@ def _write_output(text: str, output: str | None, what: str | None) -> None:
         print(f"wrote {what} to {output}", file=sys.stderr)
 
 
-#: What a grid subcommand's ``-o`` note counts: a noun, and the params
-#: whose lengths multiply to the count.
-_REPORT_UNITS = {
-    "table1": ("rows", ("ratios",)),
-    "chaos": ("cells", ("scenarios", "faults", "policies")),
-    "fleet": ("fleet cells", ("scenarios", "seeds")),
-}
+#: What the rows of an artifact subcommand's report are, for its ``-o``
+#: note.
+_ROW_NOUNS = {"table1": "rows", "chaos": "cells", "fleet": "fleet cells"}
 
 
-def _cmd_grid(args: argparse.Namespace) -> int:
-    """Run the grid ``args.grid`` through :func:`shards.run_grid`.
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """Produce the artifact ``args.grid`` and write it in ``args.format``.
 
     A quarantined cell does not change the return code here: ``main``
     turns the supervision plan's quarantine count into
     ``EXIT_PARTIAL``.
     """
-    params = shards.grid_def(args.grid).normalize(_grid_params(args))
-    text, _quarantined = shards.run_grid(args.grid, params, args.format)
-    what = None
-    if args.grid in _REPORT_UNITS:
-        noun, keys = _REPORT_UNITS[args.grid]
-        what = f"{math.prod(len(params[key]) for key in keys)} {noun}"
-    _write_output(text, args.output, what)
+    payload = artifacts.produce(args.grid, **_params(args))
+    _write_output(
+        artifacts.render(payload, args.format),
+        args.output,
+        f"{len(payload['rows'])} {_ROW_NOUNS[args.grid]}",
+    )
     return EXIT_OK
 
 
@@ -306,7 +302,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             labels = ", ".join(spec.label() for spec in schedule)
             print(f"{name:<22} {labels}")
         return 0
-    return _cmd_grid(args)
+    return _cmd_artifact(args)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -316,14 +312,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             summary = doc.splitlines()[0] if doc else ""
             print(f"{name:<22} {summary}")
         return 0
-    return _cmd_grid(args)
+    return _cmd_artifact(args)
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
-    params = _grid_params(args)
-    plan = shards.build_plan(
-        args.grid, params, args.shards, striping=args.striping
-    )
+    plan = shards.build_plan(args.grid, _params(args), args.shards)
     if args.output is None or args.output == "-":
         import json
 
@@ -571,12 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file (default or '-': stdout)",
     )
     _add_supervision_flags(t1_p)
-    t1_p.set_defaults(func=_cmd_grid, grid="table1")
+    t1_p.set_defaults(func=_cmd_artifact, grid="table1")
 
     exp_p = sub.add_parser(
         "experiments",
         help="print or write the evaluation's artifacts "
-        "(Table 1, figures, ablations, comparisons, extensions)",
+        "(Table 1, figures, ablations, comparisons, extensions, "
+        "chaos, fleet)",
     )
     exp_p.add_argument(
         "names",
@@ -592,13 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write DIR/NAME.json and DIR/NAME.txt instead of printing",
     )
     exp_p.set_defaults(func=_cmd_experiments)
-
-    cmp_p = sub.add_parser("compare", help="compare all policies")
-    cmp_p.add_argument("--drop-ratio", type=float)
-    cmp_p.add_argument("--seeds", type=int)
-    cmp_p.set_defaults(
-        func=_cmd_grid, grid="compare", format="table", output=None
-    )
 
     rep_p = sub.add_parser(
         "report", help="full analysis report of one session"
@@ -830,34 +817,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     splan_p = shard_sub.add_parser(
         "plan",
-        help="partition a grid into K deterministic manifest shards",
+        help="partition an artifact's batch into K deterministic "
+        "manifest shards",
     )
     splan_p.add_argument(
         "--grid",
-        choices=sorted(shards.GRIDS),
+        choices=list(artifacts.ARTIFACTS),
         default="table1",
-        help="which grid to shard (default: table1)",
+        metavar="NAME",
+        help="which artifact to shard (default: table1): "
+        + ", ".join(artifacts.ARTIFACTS),
     )
     splan_p.add_argument(
         "--shards",
         type=int,
         required=True,
         metavar="K",
-        help="number of shards to stripe the grid over",
+        help="number of shards to stripe the batch over",
     )
     splan_p.add_argument(
         "--seeds",
         type=int,
         default=None,
         metavar="N",
-        help="seeds 1..N per point (default: the grid's canonical set)",
-    )
-    splan_p.add_argument(
-        "--striping",
-        choices=list(shards.STRIPING_MODES),
-        default="cost",
-        help="cell -> shard policy: cost-weighted LPT or plain "
-        "round-robin (default: cost)",
+        help="seeds 1..N per point (default: the artifact's own)",
     )
     splan_p.add_argument(
         "--ratio",
@@ -865,49 +848,37 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         type=float,
         metavar="R",
-        help="table1/sweep grids: drop ratio to include (repeatable; "
-        "default: the canonical five)",
-    )
-    splan_p.add_argument(
-        "--baseline",
-        choices=[p.value for p in PolicyName],
-        default=None,
-        help="table1 grid: baseline policy (default: webrtc)",
-    )
-    splan_p.add_argument(
-        "--drop-ratio",
-        type=float,
-        default=None,
-        help="compare grid: scenario severity (default: 0.2)",
+        help="table1/figure4: drop ratio to include (repeatable; "
+        "default: the artifact's own)",
     )
     splan_p.add_argument(
         "--policy",
         dest="policies",
         action="append",
         choices=[p.value for p in PolicyName],
-        help="compare/chaos grids: policy to include (repeatable; "
-        "default: all / adaptive+webrtc)",
+        help="chaos: policy to include (repeatable; default: "
+        "adaptive+webrtc)",
     )
     splan_p.add_argument(
         "--scenario",
         dest="scenarios",
         action="append",
         choices=sorted(set(fleet.SCENARIOS) | set(robustness.SCENARIOS)),
-        help="fleet/chaos grids: scenario to include (repeatable; "
-        "default: the grid's canonical set)",
+        help="fleet/chaos: scenario to include (repeatable; "
+        "default: the artifact's own)",
     )
     splan_p.add_argument(
         "--subscribers",
         type=int,
         default=None,
-        help="fleet grid: total subscriber population "
+        help="fleet: total subscriber population "
         f"(default: {fleet.SUBSCRIBERS})",
     )
     splan_p.add_argument(
         "--duration",
         type=float,
         default=None,
-        help="fleet/chaos grids: capture duration in seconds "
+        help="fleet/chaos: capture duration in seconds "
         f"(defaults: {fleet.DURATION:g} / {robustness.DURATION:g})",
     )
     splan_p.add_argument(
@@ -915,13 +886,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="faults",
         action="append",
         choices=sorted(robustness.FAULT_NAMES),
-        help="chaos grid: fault to include (repeatable; default: all)",
+        help="chaos: fault to include (repeatable; default: all)",
     )
     splan_p.add_argument(
         "--fault-at",
         type=float,
         default=None,
-        help="chaos grid: when fault windows open "
+        help="chaos: when fault windows open "
         f"(default: {robustness.FAULT_AT:g})",
     )
     splan_p.add_argument(

@@ -4,6 +4,12 @@
   the fused detector.
 * **Ablation B** — strategies: renormalize only, + drain budget, + skip.
 * **Ablation C** — sensitivity to RTT and feedback interval.
+* **Ablation D** — sensitivity to buffer depth and content class.
+
+Each ablation returns its variants (see
+:func:`~repro.experiments.scenarios.fold_variants`); the registry in
+:mod:`repro.experiments.artifacts` runs their batch and folds each
+variant into one :func:`averaged_row`.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ import numpy as np
 
 from ..core.config import AdaptiveConfig, DetectorConfig
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
 from ..units import ms
 from . import scenarios
+from .scenarios import Variant
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,9 @@ def _variant_configs(
     return configs
 
 
-def _averaged_row(variant: str, results: list[SessionResult]) -> AblationRow:
+def averaged_row(variant: str, results: list[SessionResult]) -> AblationRow:
+    """One variant's seed-averaged row (a ``FAILED(...)`` row when any
+    of its sessions was quarantined)."""
     _ok, failures = split_failures(results)
     if failures:
         nan = float("nan")
@@ -89,25 +97,10 @@ def _averaged_row(variant: str, results: list[SessionResult]) -> AblationRow:
     )
 
 
-def _run_variants(
-    named_configs: list[tuple[str, list[SessionConfig]]],
-) -> list[AblationRow]:
-    """Run every variant's sessions as one batch; one row per variant."""
-    batch = [c for _, configs in named_configs for c in configs]
-    results = run_many(batch)
-    rows, cursor = [], 0
-    for name, configs in named_configs:
-        rows.append(
-            _averaged_row(name, results[cursor:cursor + len(configs)])
-        )
-        cursor += len(configs)
-    return rows
-
-
 def detector_ablation(
     drop_ratio: float = 0.2,
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[AblationRow]:
+) -> list[Variant]:
     """Ablation A: individual detector signals vs the fusion."""
     variants = [
         ("kink only", DetectorConfig(
@@ -121,18 +114,16 @@ def detector_ablation(
             use_pacer_queue=True)),
         ("fused (all)", DetectorConfig()),
     ]
-    return _run_variants(
-        [
-            (name, _variant_configs(drop_ratio, seeds, detector=det))
-            for name, det in variants
-        ]
-    )
+    return [
+        (name, _variant_configs(drop_ratio, seeds, detector=det))
+        for name, det in variants
+    ]
 
 
 def strategy_ablation(
     drop_ratio: float = 0.2,
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[AblationRow]:
+) -> list[Variant]:
     """Ablation B: build the controller up one strategy at a time."""
     base = scenarios.ADAPTIVE_TUNING
     variants = [
@@ -143,127 +134,108 @@ def strategy_ablation(
         ("no renormalize", dataclasses.replace(
             base, enable_renormalize=False)),
     ]
-    return _run_variants(
-        [
-            (name, _variant_configs(drop_ratio, seeds, adaptive=cfg))
-            for name, cfg in variants
-        ]
-    )
+    return [
+        (name, _variant_configs(drop_ratio, seeds, adaptive=cfg))
+        for name, cfg in variants
+    ]
 
 
 def rtt_sensitivity(
     drop_ratio: float = 0.2,
     rtts: tuple[float, ...] = (ms(20), ms(40), ms(80), ms(160)),
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[AblationRow]:
+) -> list[Variant]:
     """Ablation C1: detection/feedback delay grows with RTT."""
-    return _run_variants(
-        [
-            (
-                f"rtt={rtt * 1e3:.0f}ms",
-                _variant_configs(drop_ratio, seeds, rtt=rtt),
-            )
-            for rtt in rtts
-        ]
-    )
+    return [
+        (
+            f"rtt={rtt * 1e3:.0f}ms",
+            _variant_configs(drop_ratio, seeds, rtt=rtt),
+        )
+        for rtt in rtts
+    ]
 
 
 def feedback_interval_sensitivity(
     drop_ratio: float = 0.2,
     intervals: tuple[float, ...] = (0.02, 0.05, 0.1, 0.2),
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[AblationRow]:
+) -> list[Variant]:
     """Ablation C2: TWCC cadence bounds reaction time."""
-    return _run_variants(
-        [
-            (
-                f"fb={interval * 1e3:.0f}ms",
-                _variant_configs(
-                    drop_ratio, seeds, feedback_interval=interval
-                ),
-            )
-            for interval in intervals
-        ]
-    )
+    return [
+        (
+            f"fb={interval * 1e3:.0f}ms",
+            _variant_configs(
+                drop_ratio, seeds, feedback_interval=interval
+            ),
+        )
+        for interval in intervals
+    ]
+
+
+def _paired_variants(
+    label: str, build, seeds: tuple[int, ...]
+) -> list[Variant]:
+    """The baseline then the adaptive variant of one paired point;
+    ``build(policy, seed)`` makes one config."""
+    return [
+        (f"{label}/{policy.value}", [build(policy, seed) for seed in seeds])
+        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE)
+    ]
 
 
 def queue_depth_sensitivity(
     drop_ratio: float = 0.2,
     queue_bytes: tuple[int, ...] = (70_000, 140_000, 280_000, 560_000),
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[tuple[str, AblationRow, AblationRow]]:
+) -> list[tuple[str, list[Variant]]]:
     """Ablation D: how the headline depends on bottleneck buffer depth.
 
-    Returns (label, baseline row, adaptive row) per depth — deeper
-    buffers absorb more overload as latency (taller baseline spikes,
-    no loss); shallow buffers convert it to loss and PLI storms.
+    One point per depth, holding its baseline and adaptive variants —
+    deeper buffers absorb more overload as latency (taller baseline
+    spikes, no loss); shallow buffers convert it to loss and PLI
+    storms.
     """
-    batch: list[SessionConfig] = []
-    for depth in queue_bytes:
-        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-            for seed in seeds:
-                config = scenarios.step_drop_config(drop_ratio, seed=seed)
-                network = dataclasses.replace(
-                    config.network, queue_bytes=depth
-                )
-                batch.append(
-                    dataclasses.replace(
-                        config, network=network, policy=policy
-                    )
-                )
-    results = iter(run_many(batch))
-    out = []
-    for depth in queue_bytes:
-        rows = {}
-        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-            rows[policy] = _averaged_row(
-                f"{depth // 1000}KB/{policy.value}",
-                [next(results) for _ in seeds],
+
+    def at_depth(depth: int):
+        def build(policy: PolicyName, seed: int) -> SessionConfig:
+            config = scenarios.step_drop_config(drop_ratio, seed=seed)
+            network = dataclasses.replace(config.network, queue_bytes=depth)
+            return dataclasses.replace(
+                config, network=network, policy=policy
             )
-        out.append(
-            (
-                f"{depth // 1000} KB",
-                rows[PolicyName.WEBRTC],
-                rows[PolicyName.ADAPTIVE],
-            )
+
+        return build
+
+    return [
+        (
+            f"{depth // 1000} KB",
+            _paired_variants(f"{depth // 1000}KB", at_depth(depth), seeds),
         )
-    return out
+        for depth in queue_bytes
+    ]
 
 
 def content_sensitivity(
     drop_ratio: float = 0.2,
     seeds: tuple[int, ...] = (1, 2, 3),
-) -> list[tuple[str, AblationRow, AblationRow]]:
-    """Ablation D2: the adaptive win across content classes."""
+) -> list[tuple[str, list[Variant]]]:
+    """Ablation D2: the adaptive win across content classes (one point
+    per class, holding its baseline and adaptive variants)."""
     from ..traces.content import ContentClass
 
-    batch: list[SessionConfig] = []
-    for content in ContentClass:
-        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-            for seed in seeds:
-                config = scenarios.step_drop_config(
-                    drop_ratio, seed=seed, content=content
-                )
-                batch.append(
-                    dataclasses.replace(config, policy=policy)
-                )
-    results = iter(run_many(batch))
-    out = []
-    for content in ContentClass:
-        rows = {}
-        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE):
-            rows[policy] = _averaged_row(
-                f"{content.value}/{policy.value}",
-                [next(results) for _ in seeds],
+    def of(content: ContentClass):
+        def build(policy: PolicyName, seed: int) -> SessionConfig:
+            config = scenarios.step_drop_config(
+                drop_ratio, seed=seed, content=content
             )
-        out.append(
-            (
-                content.value,
-                rows[PolicyName.WEBRTC],
-                rows[PolicyName.ADAPTIVE],
-            )
-        )
-    return out
+            return dataclasses.replace(config, policy=policy)
+
+        return build
+
+    return [
+        (content.value, _paired_variants(content.value, of(content), seeds))
+        for content in ContentClass
+    ]
 
 
 def format_paired_rows(

@@ -49,20 +49,15 @@ class PolicyRow:
 def plan_batch(
     drop_ratio: float = 0.2,
     seeds: tuple[int, ...] = (1, 2, 3),
-    policies: tuple[PolicyName, ...] = ALL_POLICIES,
 ) -> list[SessionConfig]:
-    """The comparison's session batch (policy-major, seed-minor order).
-
-    Deterministic enumeration shared with the shard fabric
-    (:mod:`repro.pipeline.shards`); :func:`rows_from_results` folds the
-    results back into rows.
-    """
+    """The comparison's session batch (policy-major, seed-minor order);
+    :func:`rows_from_results` folds the results back into rows."""
     return [
         dataclasses.replace(
             scenarios.step_drop_config(drop_ratio, seed=seed),
             policy=policy,
         )
-        for policy in policies
+        for policy in ALL_POLICIES
         for seed in seeds
     ]
 
@@ -70,13 +65,12 @@ def plan_batch(
 def rows_from_results(
     batch_results: list[SessionResult],
     seeds: tuple[int, ...],
-    policies: tuple[PolicyName, ...] = ALL_POLICIES,
 ) -> list[PolicyRow]:
     """Fold batch results (in :func:`plan_batch` order) into rows."""
     start, end = scenarios.DROP_WINDOW
     results = iter(batch_results)
     rows = []
-    for policy in policies:
+    for policy in ALL_POLICIES:
         per_policy = [next(results) for _ in seeds]
         _ok, failures = split_failures(per_policy)
         if failures:
@@ -114,11 +108,6 @@ def rows_from_results(
             )
         )
     return rows
-
-
-def comparison_title(drop_ratio: float) -> str:
-    """The canonical report title (shared by CLI and shard merge)."""
-    return f"All policies, drop to {drop_ratio:.0%}"
 
 
 def format_comparison(rows: list[PolicyRow], title: str) -> str:

@@ -1,10 +1,11 @@
 """Figure data generators (the poster's plots, as data series).
 
-Each function returns plain data (lists/dicts of series);
-:func:`format_figure` renders them as the ``figure*`` artifacts of
-:mod:`repro.experiments.artifacts`, and tests assert on their shape. No
-plotting dependency is required — the series are the reproduction
-artifact.
+Each figure is a ``plan_figureN`` that returns its batch and a
+``figureN`` that folds the batch's results into plain data (a dict of
+series); :func:`format_figure` renders them as the ``figure*``
+artifacts of :mod:`repro.experiments.artifacts`, and tests assert on
+their shape. No plotting dependency is required — the series are the
+reproduction artifact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 from ..metrics.latency import cdf
 from ..metrics.summary import format_series
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.parallel import run_many
 from ..pipeline.results import SessionResult
 from ..pipeline.supervisor import failure_label, split_failures
 from . import scenarios
@@ -53,17 +53,28 @@ def _latency_timeline(result: SessionResult) -> Series:
     return series
 
 
+def _pair(config: SessionConfig) -> list[SessionConfig]:
+    """``config`` under the baseline, then under the adaptive policy."""
+    return [
+        dataclasses.replace(config, policy=policy)
+        for policy in (PolicyName.WEBRTC, PolicyName.ADAPTIVE)
+    ]
+
+
 # ----------------------------------------------------------------------
 # Figure 1 — motivation: bitrate/capacity mismatch creates the spike
 # ----------------------------------------------------------------------
-def figure1(
+def plan_figure1(
     drop_ratio: float = 0.2, seed: int = 1
-) -> dict[str, Series]:
-    """Baseline timeline: capacity, CC target, and frame latency."""
+) -> list[SessionConfig]:
+    """Figure 1's batch: the baseline on one drop."""
     config = scenarios.step_drop_config(drop_ratio, seed=seed)
-    [result] = run_many(
-        [dataclasses.replace(config, policy=PolicyName.WEBRTC)]
-    )
+    return [dataclasses.replace(config, policy=PolicyName.WEBRTC)]
+
+
+def figure1(results: list[SessionResult]) -> dict[str, Series]:
+    """Baseline timeline: capacity, CC target, and frame latency."""
+    [result] = results
     _ok, failures = split_failures([result])
     if failures:
         return {
@@ -87,19 +98,17 @@ def figure1(
 # ----------------------------------------------------------------------
 # Figure 2 — frame latency timeline, baseline vs adaptive
 # ----------------------------------------------------------------------
-def figure2(
+def plan_figure2(
     drop_ratio: float = 0.2, seed: int = 1
-) -> dict[str, Series]:
+) -> list[SessionConfig]:
+    """Figure 2's batch: both policies on the same drop."""
+    return _pair(scenarios.step_drop_config(drop_ratio, seed=seed))
+
+
+def figure2(results: list[SessionResult]) -> dict[str, Series]:
     """Latency over time for both policies on the same drop."""
-    config = scenarios.step_drop_config(drop_ratio, seed=seed)
-    base, adap = run_many(
-        [
-            dataclasses.replace(config, policy=PolicyName.WEBRTC),
-            dataclasses.replace(config, policy=PolicyName.ADAPTIVE),
-        ]
-    )
     out: dict[str, Series] = {}
-    for name, result in (("baseline", base), ("adaptive", adap)):
+    for name, result in zip(("baseline", "adaptive"), results):
         _ok, failures = split_failures([result])
         out[name] = (
             _failed_series(name, failures)
@@ -112,14 +121,15 @@ def figure2(
 # ----------------------------------------------------------------------
 # Figure 3 — latency CDF over a multi-drop session
 # ----------------------------------------------------------------------
-def figure3(seed: int = 1) -> dict[str, Series]:
+def plan_figure3(seed: int = 1) -> list[SessionConfig]:
+    """Figure 3's batch: both policies on five drops of mixed severity."""
+    return _pair(scenarios.multi_drop_config(seed=seed))
+
+
+def figure3(results: list[SessionResult]) -> dict[str, Series]:
     """Per-frame latency CDFs across five drops of mixed severity."""
-    config = scenarios.multi_drop_config(seed=seed)
-    policies = (PolicyName.WEBRTC, PolicyName.ADAPTIVE)
-    results = run_many(
-        [dataclasses.replace(config, policy=p) for p in policies]
-    )
     out: dict[str, Series] = {}
+    policies = (PolicyName.WEBRTC, PolicyName.ADAPTIVE)
     for policy, result in zip(policies, results):
         name = f"latency_cdf[{policy.value}]"
         _ok, failures = split_failures([result])
@@ -138,7 +148,21 @@ def figure3(seed: int = 1) -> dict[str, Series]:
 # ----------------------------------------------------------------------
 # Figure 4 — reduction & quality delta vs drop severity
 # ----------------------------------------------------------------------
+def plan_figure4(
+    ratios: tuple[float, ...] = (0.8, 0.6, 0.45, 0.3, 0.2, 0.12),
+    seeds: tuple[int, ...] = (1, 2, 3),
+) -> list[SessionConfig]:
+    """Figure 4's batch: per ratio and seed, the baseline then adaptive."""
+    return [
+        config
+        for ratio in ratios
+        for seed in seeds
+        for config in _pair(scenarios.step_drop_config(ratio, seed=seed))
+    ]
+
+
 def figure4(
+    results: list[SessionResult],
     ratios: tuple[float, ...] = (0.8, 0.6, 0.45, 0.3, 0.2, 0.12),
     seeds: tuple[int, ...] = (1, 2, 3),
 ) -> dict[str, Series]:
@@ -146,17 +170,6 @@ def figure4(
     start, end = scenarios.DROP_WINDOW
     reduction = Series(name="latency_reduction_pct")
     ssim_change = Series(name="ssim_change_pct")
-    batch: list[SessionConfig] = []
-    for ratio in ratios:
-        for seed in seeds:
-            config = scenarios.step_drop_config(ratio, seed=seed)
-            batch.append(
-                dataclasses.replace(config, policy=PolicyName.WEBRTC)
-            )
-            batch.append(
-                dataclasses.replace(config, policy=PolicyName.ADAPTIVE)
-            )
-    results = run_many(batch)
     cursor = 0
     failed_points: list = []
     for ratio in ratios:

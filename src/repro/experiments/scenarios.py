@@ -105,3 +105,27 @@ def with_rtt(config: SessionConfig, rtt: float) -> SessionConfig:
 def ratio_label(drop_ratio: float) -> str:
     """Human label for a severity point, e.g. ``drop to 30%``."""
     return f"drop to {int(round(drop_ratio * 100))}%"
+
+
+# ----------------------------------------------------------------------
+# Variants: an experiment's batch as labelled config groups
+# ----------------------------------------------------------------------
+#: One labelled group of an experiment's configs, e.g. ``("kink only",
+#: [seed 1, seed 2, seed 3])``; most ablations and extensions are a
+#: list of these, one table row per variant.
+Variant = tuple[str, list]
+
+
+def batch_of(variants: list[Variant]) -> list:
+    """The batch of a list of variants: each variant's configs in turn."""
+    return [config for _label, configs in variants for config in configs]
+
+
+def fold_variants(results: list, variants: list[Variant], row) -> list:
+    """One ``row(label, results)`` per variant, over its slice of
+    ``results`` (which come in :func:`batch_of` order)."""
+    rows, cursor = [], 0
+    for label, configs in variants:
+        rows.append(row(label, results[cursor:cursor + len(configs)]))
+        cursor += len(configs)
+    return rows

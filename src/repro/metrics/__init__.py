@@ -7,11 +7,10 @@ from .quality import (
     quality_switches,
     ssim_to_db,
 )
-from .summary import format_comparison_table, format_series
+from .summary import format_series
 
 __all__ = [
     "cdf",
-    "format_comparison_table",
     "format_series",
     "mean_ssim_db",
     "percent_change",

@@ -1,40 +1,6 @@
-"""Human-readable summaries for benchmark output.
-
-The benchmark harness prints the same rows the paper's table reports;
-these helpers format them consistently.
-"""
+"""Human-readable summaries for the experiment artifacts."""
 
 from __future__ import annotations
-
-from ..pipeline.sweeps import ComparisonRow
-
-
-def format_comparison_table(
-    rows: list[ComparisonRow], title: str = ""
-) -> str:
-    """Render comparison rows as an aligned text table."""
-    header = (
-        f"{'scenario':<22} {'base lat':>9} {'adpt lat':>9} "
-        f"{'lat redu':>9} {'p95 redu':>9} {'base SSIM':>10} "
-        f"{'adpt SSIM':>10} {'SSIM chg':>9}"
-    )
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in rows:
-        lines.append(
-            f"{row.label:<22} "
-            f"{row.baseline_latency * 1e3:>7.1f}ms "
-            f"{row.adaptive_latency * 1e3:>7.1f}ms "
-            f"{row.latency_reduction * 100:>8.2f}% "
-            f"{row.p95_latency_reduction * 100:>8.2f}% "
-            f"{row.baseline_ssim:>10.4f} "
-            f"{row.adaptive_ssim:>10.4f} "
-            f"{row.ssim_change * 100:>+8.2f}%"
-        )
-    return "\n".join(lines)
 
 
 def format_series(

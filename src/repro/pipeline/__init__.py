@@ -1,4 +1,4 @@
-"""End-to-end session pipeline: configs, sessions, results, sweeps."""
+"""End-to-end session pipeline: configs, sessions, results, batches."""
 
 from .config import NetworkConfig, PolicyName, SessionConfig, VideoConfig
 from .flow import MediaFlow
@@ -33,10 +33,8 @@ from .supervisor import (
     failure_label,
     split_failures,
 )
-from .sweeps import ComparisonRow
 
 __all__ = [
-    "ComparisonRow",
     "FailedSession",
     "FrameOutcome",
     "MediaFlow",

@@ -9,11 +9,16 @@ encoder, congestion controller, and policy) over a single shared link.
 Flows are distinguished on the wire by flow-name suffixes (``media#0``,
 ``media#1``, ...); captures are phase-offset so the flows don't encode
 in lockstep.
+
+A :class:`MultiFlowConfig` is a runnable cell of the execution fabric:
+:func:`~repro.pipeline.parallel.run_many` runs it, caches its
+:class:`MultiFlowResult` and shards it like a single session.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +30,7 @@ from ..simcore.rng import RngStreams
 from ..simcore.scheduler import Scheduler
 from .config import PolicyName, SessionConfig
 from .flow import MediaFlow
+from .parallel import register_config_type
 from .results import SessionResult
 
 
@@ -107,6 +113,60 @@ class MultiFlowSession:
         end = self.config.duration + self.config.grace_period
         self.scheduler.run_until(end)
         return [flow.finish() for flow in self.flows]
+
+
+@dataclass(frozen=True)
+class MultiFlowConfig:
+    """One flow per policy over ``base``'s network, duration and seed."""
+
+    base: SessionConfig
+    policies: tuple[PolicyName, ...]
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` on a bad config.
+
+        ``base.validate()`` checks the seed with
+        :func:`~repro.pipeline.config.validate_seed`.
+        """
+        if not self.policies:
+            raise ConfigError("need at least one flow")
+        self.base.validate()
+
+
+@dataclass(frozen=True)
+class MultiFlowResult:
+    """Every flow's :class:`SessionResult`, in flow order."""
+
+    flows: tuple[SessionResult, ...]
+
+    def to_dict(self) -> dict:
+        """JSON-ready payload (lossless, as each flow's is)."""
+        return {"flows": [flow.to_dict() for flow in self.flows]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "MultiFlowResult":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            tuple(SessionResult.from_dict(flow) for flow in payload["flows"])
+        )
+
+
+def _run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
+    session = MultiFlowSession(config.base, policies=list(config.policies))
+    return MultiFlowResult(tuple(session.run()))
+
+
+def _multiflow_cost(config: MultiFlowConfig) -> float:
+    """Wall cost scales with simulated time and the number of flows."""
+    return float(config.base.duration) * len(config.policies)
+
+
+register_config_type(
+    MultiFlowConfig,
+    run=_run_multiflow,
+    from_dict=MultiFlowResult.from_dict,
+    cost=_multiflow_cost,
+)
 
 
 def jain_fairness(shares: list[float]) -> float:

@@ -9,13 +9,13 @@ and fold the chunk outputs back together.
 
 Three phases, each a CLI subcommand:
 
-* **plan** — :func:`build_plan` expands a named grid (scenario × seed ×
-  policy) into its deterministic config batch, hashes every cell, and
-  stripes cells over ``K`` shards (cell ``i`` → shard ``i % K``). The
-  resulting :class:`ShardPlan` is a pure function of the grid and
-  ``K`` — the same inputs always serialize to byte-identical plan
-  files, so every host can regenerate the plan locally instead of
-  shipping it around.
+* **plan** — :func:`build_plan` plans the batch of one
+  :data:`~repro.experiments.ARTIFACTS` entry (its *grid*), hashes
+  every cell, and stripes cells over ``K`` shards by their cost. The
+  resulting :class:`ShardPlan` is a pure function of the entry, its
+  params and ``K`` — the same inputs always serialize to
+  byte-identical plan files, so every host can regenerate the plan
+  locally instead of shipping it around.
 * **run** — :func:`run_shard` executes one shard's cells through
   :func:`~repro.pipeline.parallel.run_many` under a supervisor plan,
   writing a per-shard
@@ -26,8 +26,8 @@ Three phases, each a CLI subcommand:
   retry are quarantined, not fatal.
 * **merge** — :func:`merge_shards` folds shard caches and manifests
   into one merged cache + manifest, and :func:`render_merged` renders
-  the grid's report from them. The report is **byte-identical** to a
-  single-host serial run of the same grid (enforced by the
+  the artifact's report from them. The report is **byte-identical** to
+  a single-host serial run of the same artifact (enforced by the
   ``sweep-shards`` CI job), quarantined cells survive as
   ``FAILED(...)`` markers (the CLI exits ``EXIT_PARTIAL``), and the
   merged cache is a valid warm cache for any future run of those
@@ -60,11 +60,10 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import ConfigError
 from ..floatsum import left_sum
-from .config import PolicyName, SessionConfig
 from .manifest import STATUSES, RunManifest, atomic_write, lease_state
 from .parallel import ResultCache, config_hash, estimate_cost, run_many
 from .supervisor import (
@@ -75,367 +74,13 @@ from .supervisor import (
 )
 
 #: Plan file layout version. v2 added cost-weighted striping: explicit
-#: per-cell shard assignments and cost estimates in the plan file.
-PLAN_SCHEMA_VERSION = 2
+#: per-cell shard assignments and cost estimates in the plan file. v3
+#: names a :data:`~repro.experiments.ARTIFACTS` entry as the grid and
+#: drops the ``striping`` field: every plan stripes by cost.
+PLAN_SCHEMA_VERSION = 3
 
 #: On-disk name of shard ``i`` under a shard base directory.
 SHARD_DIR_FORMAT = "shard-{index:03d}"
-
-#: Recognized striping modes for :func:`build_plan`.
-STRIPING_MODES = ("cost", "round-robin")
-
-
-# ----------------------------------------------------------------------
-# Grid registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class GridDef:
-    """One grid: normalize params, enumerate, render.
-
-    ``normalize`` fills a default for every param that is missing or
-    ``None`` — it is the only place a grid's defaults live — and
-    returns a canonical JSON-ready dict (the plan stores exactly this,
-    so two plans of the same logical grid are byte-identical).
-    ``normalize`` and ``build`` reject bad params with
-    :class:`ConfigError`. ``build`` deterministically enumerates the
-    session batch. ``render`` folds a full result list (in ``build``
-    order, quarantined cells as :class:`FailedSession`) into the
-    grid's report text.
-    """
-
-    normalize: Callable[[dict], dict]
-    build: Callable[[dict], list[object]]
-    render: Callable[[dict, list[object], str], str]
-    formats: tuple[str, ...]
-
-
-def _param(params: dict, key: str, default):
-    """``params[key]``, or ``default`` when it is missing or ``None``.
-
-    An explicit zero or empty list is a value, not "unset": it reaches
-    the grid's checks instead of silently becoming the default.
-    """
-    value = params.get(key)
-    return default if value is None else value
-
-
-# The grid callables import the experiment drivers lazily: experiments
-# import pipeline submodules, so a module-level import here would tie a
-# knot through the package __init__s.
-def _drop_normalize(
-    kind: str, params: dict, default_seeds: tuple[int, ...]
-) -> dict:
-    """``normalize`` of the table1 and sweep grids: one batch, two
-    default seed sets."""
-    from ..experiments import scenarios
-
-    ratios = [
-        float(r)
-        for r in _param(params, "ratios", scenarios.TABLE1_DROP_RATIOS)
-    ]
-    seeds = [int(s) for s in _param(params, "seeds", default_seeds)]
-    baseline = PolicyName(
-        _param(params, "baseline", PolicyName.WEBRTC.value)
-    ).value
-    if not ratios or not seeds:
-        raise ConfigError(f"{kind} grid needs at least one ratio and seed")
-    return {"baseline": baseline, "ratios": ratios, "seeds": seeds}
-
-
-def _table1_normalize(params: dict) -> dict:
-    from ..experiments import scenarios
-
-    return _drop_normalize("table1", params, scenarios.TABLE1_SEEDS)
-
-
-def _sweep_normalize(params: dict) -> dict:
-    return _drop_normalize("sweep", params, (1, 2, 3))
-
-
-def _table1_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import table1
-
-    batch, _spans = table1.plan_batch(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-    return batch
-
-
-def _table1_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import table1
-
-    _batch, spans = table1.plan_batch(
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-        baseline=PolicyName(params["baseline"]),
-    )
-    return table1.render(table1.rows_from_results(results, spans), fmt)
-
-
-def _compare_normalize(params: dict) -> dict:
-    from ..experiments import comparison
-
-    drop_ratio = float(_param(params, "drop_ratio", 0.2))
-    seeds = [int(s) for s in _param(params, "seeds", (1, 2, 3))]
-    policies = [
-        PolicyName(p).value
-        for p in _param(
-            params, "policies", [p.value for p in comparison.ALL_POLICIES]
-        )
-    ]
-    if not seeds or not policies:
-        raise ConfigError("compare grid needs at least one seed and policy")
-    return {
-        "drop_ratio": drop_ratio,
-        "policies": policies,
-        "seeds": seeds,
-    }
-
-
-def _compare_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import comparison
-
-    return comparison.plan_batch(
-        drop_ratio=params["drop_ratio"],
-        seeds=tuple(params["seeds"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-    )
-
-
-def _compare_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import comparison
-
-    rows = comparison.rows_from_results(
-        results,
-        seeds=tuple(params["seeds"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-    )
-    title = comparison.comparison_title(params["drop_ratio"])
-    return comparison.format_comparison(rows, title) + "\n"
-
-
-def _fleet_normalize(params: dict) -> dict:
-    # The scenario, seed, subscriber and duration checks live in
-    # ``fleet.plan_batch``, which ``build`` calls next.
-    from ..experiments import fleet
-
-    return {
-        "duration": float(_param(params, "duration", fleet.DURATION)),
-        "scenarios": [
-            str(name)
-            for name in _param(params, "scenarios", fleet.DEFAULT_SCENARIOS)
-        ],
-        "seeds": [int(s) for s in _param(params, "seeds", (1,))],
-        "subscribers": int(
-            _param(params, "subscribers", fleet.SUBSCRIBERS)
-        ),
-    }
-
-
-def _fleet_build(params: dict) -> list:
-    from ..experiments import fleet
-
-    return fleet.plan_batch(
-        scenario_names=tuple(params["scenarios"]),
-        seeds=tuple(params["seeds"]),
-        subscribers=params["subscribers"],
-        duration=params["duration"],
-    )
-
-
-def _fleet_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import fleet
-
-    report = fleet.FleetReport(
-        scenarios=tuple(params["scenarios"]),
-        seeds=tuple(params["seeds"]),
-        subscribers=params["subscribers"],
-        duration=params["duration"],
-        cells=fleet.rows_from_results(
-            results,
-            tuple(params["scenarios"]),
-            tuple(params["seeds"]),
-        ),
-    )
-    return fleet.render(report, fmt)
-
-
-def _chaos_normalize(params: dict) -> dict:
-    from ..experiments import robustness
-
-    scenario_names = [
-        str(name)
-        for name in _param(
-            params, "scenarios", robustness.DEFAULT_SCENARIOS
-        )
-    ]
-    fault_names = [
-        str(name)
-        for name in _param(params, "faults", robustness.FAULT_NAMES)
-    ]
-    policies = [
-        PolicyName(p).value
-        for p in _param(
-            params,
-            "policies",
-            [p.value for p in robustness.DEFAULT_POLICIES],
-        )
-    ]
-    seeds = [int(s) for s in _param(params, "seeds", (1, 2))]
-    duration = float(_param(params, "duration", robustness.DURATION))
-    fault_at = float(_param(params, "fault_at", robustness.FAULT_AT))
-    if not policies:
-        raise ConfigError("chaos grid needs at least one policy")
-    robustness.validate_grid(
-        tuple(scenario_names),
-        tuple(fault_names),
-        tuple(seeds),
-        duration,
-        fault_at,
-    )
-    return {
-        "duration": duration,
-        "fault_at": fault_at,
-        "faults": fault_names,
-        "policies": policies,
-        "scenarios": scenario_names,
-        "seeds": seeds,
-    }
-
-
-def _chaos_build(params: dict) -> list[SessionConfig]:
-    from ..experiments import robustness
-
-    return robustness.plan_batch(
-        scenario_names=tuple(params["scenarios"]),
-        fault_names=tuple(params["faults"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-        seeds=tuple(params["seeds"]),
-        duration=params["duration"],
-        fault_at=params["fault_at"],
-    )
-
-
-def _chaos_render(params: dict, results: list, fmt: str) -> str:
-    from ..experiments import robustness
-
-    report = robustness.report_from_results(
-        results,
-        scenario_names=tuple(params["scenarios"]),
-        fault_names=tuple(params["faults"]),
-        policies=tuple(PolicyName(p) for p in params["policies"]),
-        seeds=tuple(params["seeds"]),
-        duration=params["duration"],
-        fault_at=params["fault_at"],
-    )
-    return robustness.render(report, fmt)
-
-
-def _sweep_render(params: dict, results: list, fmt: str) -> str:
-    from . import sweeps
-
-    rows = sweeps.rows_from_drop_sweep(
-        results,
-        ratios=tuple(params["ratios"]),
-        seeds=tuple(params["seeds"]),
-    )
-    return sweeps.render_drop_sweep(rows, fmt)
-
-
-#: Every grid by name. A subcommand (``repro-rtc table1`` and so on)
-#: and a ``shard`` plan of the same grid both run its ``GridDef``:
-#: :func:`run_grid` on one host, :func:`render_merged` after a merge.
-#: The ``sweep`` grid runs Table 1's batch, one row per (ratio, seed).
-GRIDS: dict[str, GridDef] = {
-    "table1": GridDef(
-        normalize=_table1_normalize,
-        build=_table1_build,
-        render=_table1_render,
-        formats=("table", "json", "csv"),
-    ),
-    "compare": GridDef(
-        normalize=_compare_normalize,
-        build=_compare_build,
-        render=_compare_render,
-        formats=("table",),
-    ),
-    "fleet": GridDef(
-        normalize=_fleet_normalize,
-        build=_fleet_build,
-        render=_fleet_render,
-        formats=("table", "json", "csv"),
-    ),
-    "chaos": GridDef(
-        normalize=_chaos_normalize,
-        build=_chaos_build,
-        render=_chaos_render,
-        formats=("table", "json", "csv"),
-    ),
-    "sweep": GridDef(
-        normalize=_sweep_normalize,
-        build=_table1_build,
-        render=_sweep_render,
-        formats=("table", "json", "csv"),
-    ),
-}
-
-
-def grid_def(kind: str) -> GridDef:
-    """Look up a grid by name.
-
-    Raises:
-        ConfigError: for an unknown grid kind.
-    """
-    try:
-        return GRIDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unknown grid {kind!r} (available: {', '.join(sorted(GRIDS))})"
-        ) from None
-
-
-def _renderer(kind: str, fmt: str) -> GridDef:
-    """The grid's definition, once it is known to render ``fmt``.
-
-    Raises:
-        ConfigError: an unknown grid, or a format it cannot render.
-    """
-    definition = grid_def(kind)
-    if fmt not in definition.formats:
-        raise ConfigError(
-            f"grid {kind!r} cannot render {fmt!r} "
-            f"(formats: {', '.join(definition.formats)})"
-        )
-    return definition
-
-
-def _render(
-    definition: GridDef, params: dict, results: list[object], fmt: str
-) -> tuple[str, int]:
-    """A grid's report text and its quarantined-cell count."""
-    _ok, failures = split_failures(results)
-    return definition.render(params, results, fmt), len(failures)
-
-
-def run_grid(kind: str, params: dict | None, fmt: str) -> tuple[str, int]:
-    """Run one grid on this host and render its report.
-
-    Normalizes ``params``, builds the batch, runs it through
-    :func:`~repro.pipeline.parallel.run_many` under the configured
-    workers, cache and supervision plan, and renders it exactly as
-    :func:`render_merged` renders a merged plan of the same grid.
-    Returns the report text and the quarantined-cell count (``> 0``
-    only under a supervision plan).
-
-    Raises:
-        ConfigError: unknown grid or format, or bad params.
-    """
-    definition = _renderer(kind, fmt)
-    canonical = definition.normalize(dict(params or {}))
-    results = run_many(definition.build(canonical))
-    return _render(definition, canonical, results, fmt)
 
 
 # ----------------------------------------------------------------------
@@ -443,44 +88,42 @@ def run_grid(kind: str, params: dict | None, fmt: str) -> tuple[str, int]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardPlan:
-    """A deterministic partition of one grid into ``shards`` shards.
+    """A deterministic partition of one artifact's batch into ``shards``.
 
-    ``hashes`` holds every cell's config hash in grid-enumeration
-    order. ``assignments`` records the shard each cell belongs to —
-    computed once at plan time (cost-weighted by default, see
-    :func:`build_plan`) and stored in the plan file, so every host and
-    every merge sees the identical partition regardless of which
-    striping policy produced it. When ``assignments`` is empty (a plan
-    constructed by hand) cells fall back to round-robin
-    (``i % shards``). ``plan_id`` fingerprints the whole partition, so
-    hosts can verify they are executing the same plan.
+    ``kind`` names the :data:`~repro.experiments.ARTIFACTS` entry and
+    ``params`` its resolved params. ``hashes`` holds every cell's
+    config hash in batch order, ``costs`` its cost estimate, and
+    ``assignments`` the shard it belongs to — computed once at plan
+    time (see :func:`build_plan`) and stored in the plan file, so every
+    host and every merge sees the identical partition. ``plan_id``
+    fingerprints the whole partition, so hosts can verify they are
+    executing the same plan.
     """
 
     kind: str
     params: dict
     shards: int
     hashes: tuple[str, ...]
-    costs: tuple[float, ...] = ()
-    assignments: tuple[int, ...] = ()
-    striping: str = "round-robin"
+    costs: tuple[float, ...]
+    assignments: tuple[int, ...]
+
+    def _cells(self) -> list[dict]:
+        return [
+            {"cost": cost, "hash": digest, "shard": shard}
+            for digest, cost, shard in zip(
+                self.hashes, self.costs, self.assignments
+            )
+        ]
 
     @property
     def plan_id(self) -> str:
-        """Stable fingerprint of (grid, K, striping, cell → shard)."""
+        """Stable fingerprint of (artifact, params, K, cell → shard)."""
         payload = json.dumps(
             {
                 "schema": PLAN_SCHEMA_VERSION,
                 "grid": {"kind": self.kind, "params": self.params},
                 "shards": self.shards,
-                "striping": self.striping,
-                "cells": [
-                    {
-                        "cost": self.cost_of(index),
-                        "hash": digest,
-                        "shard": self.shard_of(index),
-                    }
-                    for index, digest in enumerate(self.hashes)
-                ],
+                "cells": self._cells(),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -488,18 +131,6 @@ class ShardPlan:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
     # ------------------------------------------------------------------
-    def shard_of(self, cell_index: int) -> int:
-        """The shard a cell is assigned to."""
-        if self.assignments:
-            return self.assignments[cell_index]
-        return cell_index % self.shards
-
-    def cost_of(self, cell_index: int) -> float:
-        """The cell's recorded cost estimate (1.0 when unrecorded)."""
-        if self.costs:
-            return self.costs[cell_index]
-        return 1.0
-
     def cell_indices(self, shard_index: int) -> list[int]:
         """Global cell indices belonging to one shard (in grid order)."""
         if not 0 <= shard_index < self.shards:
@@ -509,26 +140,29 @@ class ShardPlan:
             )
         return [
             index
-            for index in range(len(self.hashes))
-            if self.shard_of(index) == shard_index
+            for index, shard in enumerate(self.assignments)
+            if shard == shard_index
         ]
 
     def shard_cost(self, shard_index: int) -> float:
         """Total estimated cost assigned to one shard."""
         return left_sum(
-            self.cost_of(index)
-            for index in self.cell_indices(shard_index)
+            self.costs[index] for index in self.cell_indices(shard_index)
         )
 
     def configs(self) -> list[object]:
-        """Re-expand the grid and verify it still matches the plan.
+        """Re-plan the batch and verify it still matches the plan.
 
         Raises:
-            ConfigError: when the expansion hashes differently — the
-                plan was built by a different code or cache-schema
-                version, and executing it would corrupt the merge.
+            ConfigError: an artifact or param this build does not know,
+                or a batch that hashes differently — the plan was built
+                by a different code or cache-schema version, and
+                executing it would corrupt the merge.
         """
-        batch = grid_def(self.kind).build(self.params)
+        from ..experiments import artifacts
+
+        params = artifacts.resolve(self.kind, self.params)
+        batch = artifacts.ARTIFACTS[self.kind].plan(**params)
         hashes = tuple(config_hash(config) for config in batch)
         if hashes != self.hashes:
             raise ConfigError(
@@ -546,15 +180,7 @@ class ShardPlan:
             "plan_id": self.plan_id,
             "grid": {"kind": self.kind, "params": self.params},
             "shards": self.shards,
-            "striping": self.striping,
-            "cells": [
-                {
-                    "cost": self.cost_of(index),
-                    "hash": digest,
-                    "shard": self.shard_of(index),
-                }
-                for index, digest in enumerate(self.hashes)
-            ],
+            "cells": self._cells(),
         }
 
     def save(self, path: Path | str) -> None:
@@ -599,7 +225,6 @@ class ShardPlan:
                 assignments=tuple(
                     int(cell["shard"]) for cell in data["cells"]
                 ),
-                striping=str(data["striping"]),
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(
@@ -641,41 +266,26 @@ def _stripe_by_cost(
     return tuple(assignments)
 
 
-def build_plan(
-    kind: str,
-    params: dict | None,
-    shards: int,
-    striping: str = "cost",
-) -> ShardPlan:
-    """Partition a grid into ``shards`` deterministic shards.
+def build_plan(kind: str, params: dict | None, shards: int) -> ShardPlan:
+    """Partition an artifact's batch into ``shards`` deterministic shards.
 
-    ``striping`` picks the cell → shard policy:
-
-    * ``cost`` (default) — LPT greedy over per-cell cost estimates
-      (:func:`~repro.pipeline.parallel.estimate_cost`: roughly
-      simulated seconds × population × fault windows), so one
-      500-subscriber fleet cell does not land next to another while a
-      third shard idles;
-    * ``round-robin`` — cell ``i`` → shard ``i % shards`` (the v1
-      behavior; fine when cells are near-uniform).
-
-    Either way the assignment is recorded in the plan file, so
-    execution and merge never re-derive it.
+    Cells are striped by LPT greedy over their cost estimates
+    (:func:`~repro.pipeline.parallel.estimate_cost`: roughly simulated
+    seconds × population × fault windows), so one 500-subscriber fleet
+    cell does not land next to another while a third shard idles. The
+    assignment is recorded in the plan file, so execution and merge
+    never re-derive it.
 
     Raises:
-        ConfigError: unknown grid, bad params, unknown striping, or
-            ``shards < 1``.
+        ConfigError: an unknown artifact, bad params, or ``shards`` below
+            1 or above the cell count.
     """
+    from ..experiments import artifacts
+
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards!r}")
-    if striping not in STRIPING_MODES:
-        raise ConfigError(
-            f"unknown striping {striping!r} "
-            f"(available: {', '.join(STRIPING_MODES)})"
-        )
-    definition = grid_def(kind)
-    canonical = definition.normalize(dict(params or {}))
-    batch = definition.build(canonical)
+    resolved = artifacts.resolve(kind, params)
+    batch = artifacts.ARTIFACTS[kind].plan(**resolved)
     if shards > len(batch):
         raise ConfigError(
             f"cannot split {len(batch)} cells into {shards} shards "
@@ -683,18 +293,13 @@ def build_plan(
         )
     hashes = tuple(config_hash(config) for config in batch)
     costs = tuple(estimate_cost(config) for config in batch)
-    if striping == "round-robin":
-        assignments = tuple(i % shards for i in range(len(batch)))
-    else:
-        assignments = _stripe_by_cost(hashes, costs, shards)
     return ShardPlan(
         kind=kind,
-        params=canonical,
+        params=resolved,
         shards=shards,
         hashes=hashes,
         costs=costs,
-        assignments=assignments,
-        striping=striping,
+        assignments=_stripe_by_cost(hashes, costs, shards),
     )
 
 
@@ -902,7 +507,7 @@ def merge_shards(
 
     if incomplete:
         shards_needed = sorted(
-            {plan.shard_of(index) for index, _digest in incomplete}
+            {plan.assignments[index] for index, _digest in incomplete}
         )
         raise ConfigError(
             f"{len(incomplete)} of {len(plan.hashes)} cells have no "
@@ -942,20 +547,22 @@ def render_merged(
     manifest: RunManifest,
     fmt: str,
 ) -> tuple[str, int]:
-    """Render the grid's report from a merged cache + manifest.
+    """Render the artifact's report from a merged cache + manifest.
 
     Every cell is either served by the merged cache (bit-identical to
     a fresh run — the cache round trip is lossless by contract) or
     reconstructed as a :class:`FailedSession` from its quarantined
-    record, then rendered exactly as :func:`run_grid` renders a
-    single-host run of the grid. Returns the report text and the
-    quarantined-cell count (``> 0`` ⇒ the CLI exits ``EXIT_PARTIAL``).
+    record, then folded and rendered exactly as a single-host run of
+    the artifact. Returns the report text and the quarantined-cell
+    count (``> 0`` ⇒ the CLI exits ``EXIT_PARTIAL``).
 
     Raises:
-        ConfigError: a cell has neither a cache entry nor a
-            quarantined record (torn merge directory).
+        ConfigError: a format the artifact cannot render, or a cell
+            with neither a cache entry nor a quarantined record (torn
+            merge directory).
     """
-    definition = _renderer(plan.kind, fmt)
+    from ..experiments import artifacts
+
     configs = plan.configs()
     results: list[object] = []
     for config, digest in zip(configs, plan.hashes):
@@ -971,7 +578,11 @@ def render_merged(
             f"merged cache is missing cell {digest[:12]} and its "
             "manifest record is not quarantined — re-run the merge"
         )
-    return _render(definition, plan.params, results, fmt)
+    text = artifacts.render(
+        artifacts.payload_of(plan.kind, plan.params, configs, results), fmt
+    )
+    _ok, failures = split_failures(results)
+    return text, len(failures)
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,11 @@ regular adaptive :class:`~repro.pipeline.session.RtcSession` compares
 the production practice (layer switching) with the paper's proposal
 (encoder re-targeting): similar reaction speed, very different quality
 floor during the drop.
+
+A :class:`SimulcastConfig` is a runnable cell of the execution fabric:
+:func:`~repro.pipeline.parallel.run_many` runs it, caches its
+:class:`~repro.pipeline.results.SessionResult` and shards it like a
+single session.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from ..codec.source import VideoSource
 from ..errors import ConfigError
 from ..netsim.link import Link
 from ..netsim.packet import Packet
-from ..pipeline.config import NetworkConfig, VideoConfig
+from ..pipeline.config import NetworkConfig, VideoConfig, validate_seed
+from ..pipeline.parallel import register_config_type
 from ..pipeline.results import FrameOutcome, SessionResult
 from ..rtp.feedback import FeedbackCollector, FeedbackReport
 from ..rtp.jitterbuffer import FrameAssembler
@@ -88,6 +94,7 @@ class SimulcastConfig:
             raise ConfigError("duration and uplink rate must be positive")
         if self.grace_period < 0:
             raise ConfigError("grace_period must be >= 0")
+        validate_seed(self.seed)
 
 
 class SimulcastSession:
@@ -297,3 +304,23 @@ class SimulcastSession:
         self.result.drop_events = [t for t, _ in self.sfu.switches]
         self.result.finalize()
         return self.result
+
+
+# ----------------------------------------------------------------------
+# Execution-fabric registration
+# ----------------------------------------------------------------------
+def _run_simulcast(config: SimulcastConfig) -> SessionResult:
+    return SimulcastSession(config).run()
+
+
+def _simulcast_cost(config: SimulcastConfig) -> float:
+    """Wall cost scales with simulated time and the layers encoded."""
+    return float(config.duration) * len(config.layers)
+
+
+register_config_type(
+    SimulcastConfig,
+    run=_run_simulcast,
+    from_dict=SessionResult.from_dict,
+    cost=_simulcast_cost,
+)

@@ -1,7 +1,7 @@
 """Experiment modules produce well-formed, paper-shaped output.
 
 Kept to single seeds / reduced sweeps so the suite stays fast; the full
-reproductions run in benchmarks/.
+reproductions are the committed artifacts (``repro-rtc experiments``).
 """
 
 from __future__ import annotations
@@ -9,13 +9,19 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import ablations, comparison, figures, table1
-from repro.experiments.scenarios import ratio_label
+from repro.experiments.scenarios import batch_of, fold_variants, ratio_label
 from repro.pipeline.parallel import run_many
 
 
 def _table1_rows(ratios, seeds):
     batch, spans = table1.plan_batch(ratios=ratios, seeds=seeds)
     return table1.rows_from_results(run_many(batch), spans)
+
+
+def _ablation_rows(variants):
+    return fold_variants(
+        run_many(batch_of(variants)), variants, ablations.averaged_row
+    )
 
 
 def test_table1_row_shape():
@@ -34,7 +40,7 @@ def test_table1_formatting():
 
 
 def test_figure1_series_shapes():
-    series = figures.figure1(seed=1)
+    series = figures.figure1(run_many(figures.plan_figure1(seed=1)))
     assert set(series) == {"capacity", "target", "latency"}
     capacity = series["capacity"]
     assert len(capacity.x) == len(capacity.y) > 100
@@ -43,12 +49,12 @@ def test_figure1_series_shapes():
 
 
 def test_figure2_adaptive_peak_below_baseline():
-    series = figures.figure2(seed=1)
+    series = figures.figure2(run_many(figures.plan_figure2(seed=1)))
     assert max(series["adaptive"].y) < max(series["baseline"].y)
 
 
 def test_figure3_cdfs_are_valid():
-    series = figures.figure3(seed=1)
+    series = figures.figure3(run_many(figures.plan_figure3(seed=1)))
     for line in series.values():
         assert line.y[0] > 0
         assert line.y[-1] == pytest.approx(1.0)
@@ -58,14 +64,16 @@ def test_figure3_cdfs_are_valid():
 
 
 def test_figure4_reduction_grows_with_severity():
-    series = figures.figure4(ratios=(0.6, 0.2), seeds=(1,))
+    params = {"ratios": (0.6, 0.2), "seeds": (1,)}
+    results = run_many(figures.plan_figure4(**params))
+    series = figures.figure4(results, **params)
     reduction = series["reduction"]
     assert reduction.x == [0.6, 0.2]
     assert reduction.y[1] > reduction.y[0]
 
 
 def test_detector_ablation_rows():
-    rows = ablations.detector_ablation(seeds=(1,))
+    rows = _ablation_rows(ablations.detector_ablation(seeds=(1,)))
     assert [r.variant for r in rows] == [
         "kink only", "overuse only", "pacer only", "fused (all)",
     ]
@@ -76,7 +84,7 @@ def test_detector_ablation_rows():
 
 
 def test_strategy_ablation_rows():
-    rows = ablations.strategy_ablation(seeds=(1,))
+    rows = _ablation_rows(ablations.strategy_ablation(seeds=(1,)))
     by_name = {r.variant: r for r in rows}
     # Removing renormalize must hurt latency.
     assert (
@@ -86,7 +94,9 @@ def test_strategy_ablation_rows():
 
 
 def test_rtt_sensitivity_rows():
-    rows = ablations.rtt_sensitivity(rtts=(0.02, 0.16), seeds=(1,))
+    rows = _ablation_rows(
+        ablations.rtt_sensitivity(rtts=(0.02, 0.16), seeds=(1,))
+    )
     assert len(rows) == 2
     # Longer feedback loops cannot reduce latency below the short-RTT
     # case (weak monotonicity with slack for noise).

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.experiments import scenarios
+import pytest
+
+from repro.errors import ConfigError
+from repro.experiments import artifacts, scenarios
+from repro.pipeline import parallel
 from repro.pipeline.config import (
     NetworkConfig,
     PolicyName,
@@ -188,3 +192,39 @@ def test_audio_protected_by_adaptive_policy():
     assert adap.mean_audio_latency(*window) < (
         0.5 * base.mean_audio_latency(*window)
     )
+
+
+# Ext. J and K run multi-flow and simulcast cells through run_many.
+_MULTI_SESSION_CELLS = ["extension_j_fairness", "extension_k_simulcast"]
+
+
+@pytest.mark.parametrize("name", _MULTI_SESSION_CELLS)
+def test_second_produce_runs_no_session(name, tmp_path, monkeypatch):
+    context = parallel.configure()
+    monkeypatch.setattr(context, "workers", 1)
+    monkeypatch.setattr(
+        context, "cache", parallel.ResultCache(tmp_path / "cache")
+    )
+    monkeypatch.setattr(context, "supervisor", None)
+    first = artifacts.produce(name, seeds=[1])
+
+    def ran(config):
+        raise AssertionError(f"a {type(config).__name__} ran again")
+
+    monkeypatch.setattr(parallel, "run_config", ran)
+    assert artifacts.produce(name, seeds=[1]) == first
+
+
+@pytest.mark.parametrize("name", _MULTI_SESSION_CELLS)
+def test_multi_session_cells_check_their_seed_and_weigh_more(name):
+    def last_cell(seed):
+        params = artifacts.resolve(name, {"seeds": [seed]})
+        return artifacts.ARTIFACTS[name].plan(**params)[-1]
+
+    cell = last_cell(1)
+    # Two flows, or two simulcast layers: twice a session's cost.
+    duration = getattr(cell, "base", cell).duration
+    assert parallel.estimate_cost(cell) == 2 * duration
+    with pytest.raises(ConfigError, match="seed"):
+        last_cell(2**63).validate()
+

@@ -164,13 +164,13 @@ def test_matrix_report_shape_and_encodings():
 
 def test_matrix_rejects_unknown_names():
     from repro.errors import ConfigError
-    from repro.pipeline.shards import run_grid
+    from repro.experiments import artifacts
 
     with pytest.raises(ConfigError):
-        run_grid("chaos", {"scenarios": ["nope"]}, "json")
+        artifacts.produce("chaos", scenarios=["nope"])
     with pytest.raises(ConfigError):
-        run_grid("chaos", {"faults": ["nope"]}, "json")
+        artifacts.produce("chaos", faults=["nope"])
     with pytest.raises(ConfigError):
-        run_grid("chaos", {"seeds": []}, "json")
+        artifacts.produce("chaos", seeds=[])
     with pytest.raises(ConfigError):
-        run_grid("chaos", {"duration": 5.0, "fault_at": 8.0}, "json")
+        artifacts.produce("chaos", duration=5.0, fault_at=8.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import signal
 import subprocess
@@ -28,11 +29,16 @@ from pathlib import Path
 import pytest
 
 from repro.errors import EXIT_PARTIAL, ErrorClass
-from repro.experiments import scenarios
+from repro.experiments import ARTIFACTS, artifacts, scenarios
 from repro.pipeline import chaosharness, supervisor
 from repro.pipeline.config import PolicyName
 from repro.pipeline.manifest import RunManifest
-from repro.pipeline.parallel import ResultCache, config_hash, run_many
+from repro.pipeline.parallel import (
+    ResultCache,
+    config_hash,
+    configure,
+    run_many,
+)
 from repro.pipeline.supervisor import (
     FailedSession,
     SupervisorPlan,
@@ -299,6 +305,40 @@ def test_cli_partial_failure_renders_markers_and_exit_code(
         record["status"] == "quarantined"
         for record in manifest.records.values()
     )
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in ARTIFACTS if name.startswith("extension_")]
+)
+def test_extension_folds_a_quarantined_session_into_a_failed_row(
+    name, monkeypatch, tmp_path
+):
+    params = artifacts.resolve(name, {"seeds": [1]})
+    target = config_hash(ARTIFACTS[name].plan(**params)[0])
+    _chaos(
+        monkeypatch,
+        tmp_path,
+        [{"action": "raise-deterministic", "match": target, "times": -1}],
+    )
+    context = configure()
+    monkeypatch.setattr(context, "workers", 2)
+    monkeypatch.setattr(context, "cache", None)
+    monkeypatch.setattr(context, "supervisor", _plan(max_retries=0))
+    payload = artifacts.produce(name, seeds=[1])
+    failed, *others = payload["rows"]
+    assert failed["failed"].startswith("FAILED(SimulationError")
+    metrics = [v for v in failed.values() if isinstance(v, float)]
+    assert metrics and all(math.isnan(v) for v in metrics)
+    assert all("failed" not in row for row in others)
+    # Printed like an ablation's failed row: the label, then the marker.
+    label = next(iter(v for v in failed.values() if isinstance(v, str)))
+    [line] = [
+        line
+        for line in artifacts.render(payload).splitlines()
+        if "FAILED(" in line
+    ]
+    assert line.startswith(label)
+    assert line.endswith(failed["failed"])
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments import ARTIFACTS, artifacts
 from repro.experiments.scenarios import TABLE1_DROP_RATIOS
-from repro.pipeline.parallel import CACHE_SCHEMA_VERSION
+from repro.pipeline.parallel import CACHE_SCHEMA_VERSION, config_hash
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
@@ -67,6 +67,15 @@ def test_committed_json_renders_the_committed_text(name):
         json.dumps(ARTIFACTS[name].params)
     )
     assert artifacts.render(payload) == _text(name, ".txt")
+
+
+@pytest.mark.parametrize("name", list(ARTIFACTS))
+def test_committed_cells_are_the_planned_config_hashes(name):
+    # Provenance without a re-run: each row's sessions are the cells
+    # this build plans for the committed params.
+    payload = json.loads(_text(name, ".json"))
+    batch = ARTIFACTS[name].plan(**payload["params"])
+    assert payload["cells"] == [config_hash(config) for config in batch]
 
 
 def test_experiments_md_embeds_the_committed_tables():
@@ -335,3 +344,31 @@ def test_simulcast_vs_encoder_adaptation():
     # adaptation holds more quality through and after the drop.
     assert rows["adaptive"].drop_ssim > rows["simulcast"].drop_ssim
     assert rows["adaptive"].mean_ssim > rows["simulcast"].mean_ssim
+
+
+def test_chaos_matrix():
+    rows = _rows("chaos")
+    params = json.loads(_text("chaos", ".json"))["params"]
+    assert len(rows) == (
+        len(params["scenarios"]) * len(params["faults"])
+        * len(params["policies"])
+    )
+    assert all(row.failed is None for row in rows)
+    cell = {(r.scenario, r.fault, r.policy): r for r in rows}
+    # A capacity outage hurts both policies, and the adaptive encoder
+    # is back to normal sooner on either scenario.
+    for scenario in params["scenarios"]:
+        adaptive = cell[(scenario, "capacity_outage", "adaptive")]
+        webrtc = cell[(scenario, "capacity_outage", "webrtc")]
+        assert adaptive.delta_freeze > 0 and webrtc.delta_freeze > 0
+        assert adaptive.recovery_s < webrtc.recovery_s
+
+
+def test_fleet_regional_fault_stays_in_its_region():
+    by_name = _by(_rows("fleet"), "scenario")
+    degraded = by_name["regional_degradation"]
+    # Region b's downlink collapses: its tail latency explodes while
+    # region a's stays where the steady fleet's is.
+    assert degraded.region_b_p95_ms > 3 * degraded.region_a_p95_ms
+    assert degraded.region_a_p95_ms < 1.2 * by_name["steady"].region_a_p95_ms
+

@@ -174,7 +174,8 @@ def test_chaos_quick_writes_json_report(tmp_path, capsys):
     "argv",
     [
         ["table1", "--seeds", "0"],
-        ["compare", "--seeds", "0"],
+        ["shard", "plan", "--grid", "figure4", "--shards", "1",
+         "--seeds", "0"],
         ["shard", "plan", "--grid", "table1", "--shards", "1",
          "--seeds", "0"],
     ],
@@ -182,6 +183,30 @@ def test_chaos_quick_writes_json_report(tmp_path, capsys):
 def test_zero_seeds_is_usage_error(argv, capsys):
     assert main(["--no-cache", *argv]) == 2
     assert "at least one" in capsys.readouterr().err
+
+
+def test_flag_the_artifact_does_not_take_is_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.experiments import artifacts
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a session ran")
+
+    monkeypatch.setattr(artifacts, "run_many", ran)
+    plan_path = tmp_path / "plan.json"
+    code = main(
+        ["--no-cache", "shard", "plan", "--grid", "figure2",
+         "--shards", "1", "--seeds", "2", "-o", str(plan_path)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "figure2 takes no seeds param" in captured.err
+    assert captured.out == ""
+    assert not plan_path.exists()
+    # The compare subcommand went with its grid.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compare"])
 
 
 def test_table1_format_flags_parsed():
@@ -282,12 +307,12 @@ def test_supervised_run_writes_manifest(tmp_path, capsys):
 def test_interrupt_exits_130_and_seals_manifest(
     tmp_path, capsys, monkeypatch
 ):
-    from repro.pipeline import shards
+    from repro.experiments import artifacts
 
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(shards, "run_many", interrupted)
+    monkeypatch.setattr(artifacts, "run_many", interrupted)
     manifest_path = tmp_path / "run.json"
     code = main(
         ["--no-cache", "chaos", "--quick",
@@ -329,13 +354,12 @@ def test_shard_flags_parsed():
 
 def test_shard_plan_writes_deterministic_file(tmp_path, capsys):
     plan_args = [
-        "--no-cache", "shard", "plan", "--grid", "compare",
+        "--no-cache", "shard", "plan", "--grid", "comparison_severe",
         "--shards", "2", "--seeds", "1",
-        "--policy", "webrtc", "--policy", "adaptive",
     ]
     code = main([*plan_args, "-o", str(tmp_path / "a.json")])
     assert code == 0
-    assert "2 cells of grid 'compare' over 2 shards" in (
+    assert "5 cells of grid 'comparison_severe' over 2 shards" in (
         capsys.readouterr().err
     )
     code = main([*plan_args, "-o", str(tmp_path / "b.json")])
@@ -347,35 +371,33 @@ def test_shard_plan_writes_deterministic_file(tmp_path, capsys):
 
 def test_shard_plan_defaults_to_stdout(capsys):
     code = main(
-        ["--no-cache", "shard", "plan", "--grid", "compare",
-         "--shards", "1", "--seeds", "1", "--policy", "adaptive"]
+        ["--no-cache", "shard", "plan", "--grid", "comparison_severe",
+         "--shards", "1", "--seeds", "1"]
     )
     assert code == 0
     import json
 
     payload = json.loads(capsys.readouterr().out)
     assert payload["shards"] == 1
-    assert payload["grid"]["kind"] == "compare"
+    assert payload["grid"]["kind"] == "comparison_severe"
 
 
 def test_shard_run_and_merge_end_to_end(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     code = main(
-        ["--no-cache", "shard", "plan", "--grid", "compare",
-         "--shards", "2", "--seeds", "1",
-         "--policy", "webrtc", "--policy", "adaptive",
-         "-o", str(plan_path)]
+        ["--no-cache", "shard", "plan", "--grid", "comparison_severe",
+         "--shards", "5", "--seeds", "1", "-o", str(plan_path)]
     )
     assert code == 0
     shard_base = tmp_path / "shards"
-    for index in ("0", "1"):
+    for index in ("0", "1", "2", "3", "4"):
         code = main(
             ["--no-cache", "shard", "run", str(plan_path),
              "--index", index, "--out", str(shard_base)]
         )
         assert code == 0
         err = capsys.readouterr().err
-        assert f"shard {index}/2" in err
+        assert f"shard {index}/5" in err
         assert "1 ok, 0 from cache, 0 quarantined" in err
     report = tmp_path / "report.txt"
     code = main(
@@ -384,7 +406,7 @@ def test_shard_run_and_merge_end_to_end(tmp_path, capsys):
          "-o", str(report)]
     )
     assert code == 0
-    assert "2 cells, 2 ok, 0 quarantined" in capsys.readouterr().err
+    assert "5 cells, 5 ok, 0 quarantined" in capsys.readouterr().err
     text = report.read_text()
     assert "webrtc" in text and "adaptive" in text
 
@@ -392,10 +414,8 @@ def test_shard_run_and_merge_end_to_end(tmp_path, capsys):
 def test_shard_run_bad_index_is_clean_usage_error(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     assert main(
-        ["--no-cache", "shard", "plan", "--grid", "compare",
-         "--shards", "2", "--seeds", "1",
-         "--policy", "webrtc", "--policy", "adaptive",
-         "-o", str(plan_path)]
+        ["--no-cache", "shard", "plan", "--grid", "comparison_severe",
+         "--shards", "2", "--seeds", "1", "-o", str(plan_path)]
     ) == 0
     capsys.readouterr()
     code = main(
@@ -411,10 +431,8 @@ def test_shard_merge_without_shard_dirs_is_clean_usage_error(
 ):
     plan_path = tmp_path / "plan.json"
     assert main(
-        ["--no-cache", "shard", "plan", "--grid", "compare",
-         "--shards", "2", "--seeds", "1",
-         "--policy", "webrtc", "--policy", "adaptive",
-         "-o", str(plan_path)]
+        ["--no-cache", "shard", "plan", "--grid", "comparison_severe",
+         "--shards", "2", "--seeds", "1", "-o", str(plan_path)]
     ) == 0
     capsys.readouterr()
     code = main(
@@ -431,21 +449,18 @@ def test_shard_merge_with_quarantined_cell_exits_partial(
     from repro.pipeline import shards
     from repro.pipeline.manifest import RunManifest
 
-    plan = shards.build_plan(
-        "compare",
-        {"drop_ratio": 0.2, "seeds": [1],
-         "policies": ["webrtc", "adaptive"]},
-        2,
-    )
+    # One cell per shard: shards 0-3 run, shard 4 is sick.
+    plan = shards.build_plan("comparison_severe", {"seeds": [1]}, 5)
     plan_path = tmp_path / "plan.json"
     plan.save(plan_path)
     base = tmp_path / "shards"
-    shards.run_shard(plan, 0, base, workers=1)
-    sick_dir = shards.shard_dir(base, 1)
+    for index in range(4):
+        shards.run_shard(plan, index, base, workers=1)
+    sick_dir = shards.shard_dir(base, 4)
     manifest = RunManifest(
         sick_dir / "manifest.json", run_id="sick", command="shard"
     )
-    digest = plan.hashes[plan.cell_indices(1)[0]]
+    digest = plan.hashes[plan.cell_indices(4)[0]]
     manifest.ensure(digest)
     manifest.mark_quarantined(
         digest, "deterministic", "SimulationError: boom"
@@ -464,9 +479,9 @@ def test_shard_merge_with_quarantined_cell_exits_partial(
 
 
 def _leased_shard(tmp_path, renewed_ago: float):
-    """A 2-shard compare plan whose shard 0 manifest holds a lease of
-    this process, renewed ``renewed_ago`` seconds ago, with no cell
-    finished."""
+    """A 2-shard comparison_severe plan whose shard 0 manifest holds a
+    lease of this process, renewed ``renewed_ago`` seconds ago, with no
+    cell finished."""
     import json
     import os
     import socket
@@ -475,12 +490,7 @@ def _leased_shard(tmp_path, renewed_ago: float):
     from repro.pipeline import shards
     from repro.pipeline.manifest import RunManifest
 
-    plan = shards.build_plan(
-        "compare",
-        {"drop_ratio": 0.2, "seeds": [1],
-         "policies": ["webrtc", "adaptive"]},
-        2,
-    )
+    plan = shards.build_plan("comparison_severe", {"seeds": [1]}, 2)
     plan_path = tmp_path / "plan.json"
     plan.save(plan_path)
     base = tmp_path / "shards"

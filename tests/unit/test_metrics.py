@@ -13,8 +13,7 @@ from repro.metrics.quality import (
     quality_switches,
     ssim_to_db,
 )
-from repro.metrics.summary import format_comparison_table, format_series
-from repro.pipeline.sweeps import ComparisonRow
+from repro.metrics.summary import format_series
 
 
 def test_cdf_monotone_and_complete():
@@ -83,22 +82,6 @@ def test_mean_ssim_db():
 def test_quality_switches_counts_jumps():
     assert quality_switches([20, 21, 30, 31, 40], step=4.0) == 2
     assert quality_switches([20], step=4.0) == 0
-
-
-def test_format_comparison_table_contains_rows():
-    row = ComparisonRow(
-        label="drop to 20%",
-        baseline_latency=1.0,
-        adaptive_latency=0.25,
-        baseline_p95_latency=2.0,
-        adaptive_p95_latency=0.5,
-        baseline_ssim=0.90,
-        adaptive_ssim=0.92,
-    )
-    text = format_comparison_table([row], title="T")
-    assert "drop to 20%" in text
-    assert "75.00%" in text  # latency reduction
-    assert "+2.2" in text  # ssim change percent
 
 
 def test_format_series_aligns():

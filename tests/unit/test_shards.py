@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError, ErrorClass
+from repro.experiments import ARTIFACTS, artifacts
 from repro.pipeline import shards
 from repro.pipeline.config import PolicyName
 from repro.pipeline.manifest import RunManifest
@@ -14,12 +17,11 @@ from repro.pipeline.parallel import ResultCache, config_hash, run_config
 from repro.pipeline.shards import ShardPlan, build_plan
 from repro.pipeline.supervisor import FailedSession, Supervisor
 
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
 SMALL_TABLE1 = {"ratios": [0.3, 0.2], "seeds": [1, 2]}
-TINY_COMPARE = {
-    "drop_ratio": 0.2,
-    "seeds": [1],
-    "policies": ["webrtc", "adaptive"],
-}
+# Ext. D on one seed: one cell per policy, five cells.
+TINY_COMPARISON = {"seeds": [1]}
 
 
 # ----------------------------------------------------------------------
@@ -59,17 +61,9 @@ def test_shards_are_disjoint_and_exhaustive(shard_count):
     assert len(seen) == len(set(seen))
 
 
-def test_round_robin_striping_assigns_by_index():
-    plan = build_plan("table1", SMALL_TABLE1, 3, striping="round-robin")
-    for cell_index in range(len(plan.hashes)):
-        assert plan.shard_of(cell_index) == cell_index % 3
-        assert cell_index in plan.cell_indices(cell_index % 3)
-
-
 def test_cost_striping_is_deterministic_and_balanced():
     first = build_plan("table1", SMALL_TABLE1, 3)
     second = build_plan("table1", SMALL_TABLE1, 3)
-    assert first.striping == "cost"
     assert first.assignments == second.assignments
     # Every shard got at least one cell, and with uniform costs LPT
     # cannot leave the loads more than one cell apart.
@@ -89,19 +83,6 @@ def test_cost_striping_separates_heavy_cells():
     assert sorted(plan.assignments) == [0, 1]
 
 
-def test_unknown_striping_rejected():
-    with pytest.raises(ConfigError, match="striping"):
-        build_plan("table1", SMALL_TABLE1, 3, striping="random")
-
-
-def test_striping_mode_changes_plan_id():
-    cost = build_plan("table1", SMALL_TABLE1, 3)
-    round_robin = build_plan(
-        "table1", SMALL_TABLE1, 3, striping="round-robin"
-    )
-    assert cost.plan_id != round_robin.plan_id
-
-
 def test_plan_matches_grid_enumeration():
     from repro.experiments import table1
 
@@ -111,20 +92,6 @@ def test_plan_matches_grid_enumeration():
     )
     assert plan.hashes == tuple(config_hash(c) for c in batch)
     assert [config_hash(c) for c in plan.configs()] == list(plan.hashes)
-
-
-def test_sweep_grid_matches_driver_enumeration():
-    from repro.experiments import table1
-
-    plan = build_plan(
-        "sweep", {"ratios": [0.3, 0.2], "seeds": [1]}, 2
-    )
-    batch, _spans = table1.plan_batch(
-        ratios=(0.3, 0.2), seeds=(1,), baseline=PolicyName.WEBRTC
-    )
-    # Two policies per (ratio, seed) point.
-    assert len(plan.hashes) == 4
-    assert plan.hashes == tuple(config_hash(c) for c in batch)
 
 
 def test_chaos_grid_matches_driver_enumeration():
@@ -157,10 +124,10 @@ def test_chaos_grid_matches_driver_enumeration():
     [
         ("table1", {"ratios": []}),
         ("table1", {"seeds": []}),
-        ("sweep", {"ratios": []}),
-        ("sweep", {"seeds": []}),
-        ("compare", {"seeds": []}),
-        ("compare", {"policies": []}),
+        ("figure4", {"ratios": []}),
+        ("figure4", {"seeds": []}),
+        ("comparison_severe", {"seeds": []}),
+        ("comparison_mild", {"seeds": []}),
         ("fleet", {"subscribers": 0}),
         ("fleet", {"seeds": []}),
         ("fleet", {"scenarios": []}),
@@ -172,7 +139,7 @@ def test_chaos_grid_matches_driver_enumeration():
 )
 def test_explicit_zero_or_empty_param_is_rejected(kind, params):
     # A zero or an empty list is a value, not "unset": it must reach
-    # the grid's checks instead of silently becoming the default.
+    # the artifact's checks instead of silently becoming the default.
     with pytest.raises(ConfigError):
         build_plan(kind, params, 1)
 
@@ -189,12 +156,13 @@ def test_explicit_zero_fault_at_is_kept():
     assert build_plan("chaos", params, 1).params["fault_at"] == 0.0
 
 
-@pytest.mark.parametrize("kind", sorted(shards.GRIDS))
+@pytest.mark.parametrize("kind", list(ARTIFACTS))
 def test_none_means_default_and_normalize_is_idempotent(kind):
-    normalize = shards.grid_def(kind).normalize
-    canonical = normalize({})
-    assert normalize({key: None for key in canonical}) == canonical
-    assert normalize(canonical) == canonical
+    canonical = artifacts.resolve(kind)
+    assert artifacts.resolve(kind, {key: None for key in canonical}) == (
+        canonical
+    )
+    assert artifacts.resolve(kind, canonical) == canonical
 
 
 @pytest.mark.parametrize("bad_k", [0, -1])
@@ -205,19 +173,22 @@ def test_bad_shard_count_rejected(bad_k):
 
 def test_more_shards_than_cells_rejected():
     with pytest.raises(ConfigError, match="cells"):
-        build_plan("compare", TINY_COMPARE, 3)
+        build_plan("comparison_severe", TINY_COMPARISON, 6)
 
 
 def test_unknown_grid_rejected():
-    with pytest.raises(ConfigError, match="unknown grid"):
+    with pytest.raises(ConfigError, match="unknown artifact"):
         build_plan("bogus", {}, 2)
 
 
-def test_bad_policy_in_compare_grid_rejected():
+def test_bad_policy_in_chaos_grid_rejected():
     with pytest.raises(ValueError):
-        build_plan(
-            "compare", {"seeds": [1], "policies": ["nonsense"]}, 1
-        )
+        build_plan("chaos", {"seeds": [1], "policies": ["nonsense"]}, 1)
+
+
+def test_param_the_artifact_does_not_take_is_rejected():
+    with pytest.raises(ConfigError, match="takes no seeds param"):
+        build_plan("figure2", {"seeds": [1, 2]}, 1)
 
 
 def test_cell_indices_out_of_range():
@@ -232,7 +203,7 @@ def test_cell_indices_out_of_range():
 # Plan files
 # ----------------------------------------------------------------------
 def test_plan_roundtrip(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
     path = tmp_path / "plan.json"
     plan.save(path)
     loaded = ShardPlan.load(path)
@@ -260,11 +231,8 @@ def test_wrong_schema_rejected(tmp_path):
 
 def test_stale_plan_detected_on_expansion():
     plan = build_plan("table1", SMALL_TABLE1, 2)
-    stale = ShardPlan(
-        kind=plan.kind,
-        params=plan.params,
-        shards=plan.shards,
-        hashes=("f" * 64,) + plan.hashes[1:],
+    stale = dataclasses.replace(
+        plan, hashes=("f" * 64,) + plan.hashes[1:]
     )
     with pytest.raises(ConfigError, match="different config hashes"):
         stale.configs()
@@ -314,7 +282,7 @@ def _run_all_shards(plan, base):
 
 
 def test_merge_order_invariance(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
     dirs = _run_all_shards(plan, tmp_path / "shards")
     cache_a, manifest_a, summary_a = shards.merge_shards(
         plan, dirs, tmp_path / "merged-a"
@@ -335,10 +303,23 @@ def test_merge_order_invariance(tmp_path):
         )
 
 
+def test_sharded_artifact_merges_into_the_committed_text(tmp_path):
+    # Any registry entry shards: figure2's two sessions on two hosts
+    # merge into the committed figure2.txt byte for byte.
+    plan = build_plan("figure2", None, 2)
+    dirs = _run_all_shards(plan, tmp_path / "shards")
+    cache, manifest, _summary = shards.merge_shards(
+        plan, dirs, tmp_path / "merged"
+    )
+    text, quarantined = shards.render_merged(plan, cache, manifest, "table")
+    assert quarantined == 0
+    assert text == (RESULTS_DIR / "figure2.txt").read_text(encoding="utf-8")
+
+
 def test_shard_manifest_lists_the_batch_before_the_first_miss(
     tmp_path, monkeypatch
 ):
-    plan = build_plan("compare", TINY_COMPARE, 1)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 1)
     configs = plan.configs()
     directory = shards.shard_dir(tmp_path, 0)
     ResultCache(directory / "cache").put(
@@ -363,7 +344,7 @@ def test_shard_manifest_lists_the_batch_before_the_first_miss(
 
 
 def test_merge_refuses_incomplete_cells(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
     shards.run_shard(plan, 0, tmp_path / "shards", workers=1)
     with pytest.raises(ConfigError, match="resume shard"):
         shards.merge_shards(
@@ -374,7 +355,7 @@ def test_merge_refuses_incomplete_cells(tmp_path):
 
 
 def test_merge_with_no_shard_data_is_clean_error(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
     with pytest.raises(ConfigError, match="no shard manifests"):
         shards.merge_shards(
             plan, [tmp_path / "missing"], tmp_path / "merged"
@@ -382,14 +363,16 @@ def test_merge_with_no_shard_data_is_clean_error(tmp_path):
 
 
 def test_quarantined_cells_survive_merge_as_failed_markers(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
-    shards.run_shard(plan, 0, tmp_path / "shards", workers=1)
-    # Fabricate shard 1 as a host that quarantined its only cell.
-    sick_dir = shards.shard_dir(tmp_path / "shards", 1)
+    # One cell per shard: shards 0-3 run, shard 4 is sick.
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 5)
+    for index in range(4):
+        shards.run_shard(plan, index, tmp_path / "shards", workers=1)
+    # Fabricate shard 4 as a host that quarantined its only cell.
+    sick_dir = shards.shard_dir(tmp_path / "shards", 4)
     manifest = RunManifest(
         sick_dir / "manifest.json", run_id="sick", command="shard"
     )
-    digest = plan.hashes[plan.cell_indices(1)[0]]
+    digest = plan.hashes[plan.cell_indices(4)[0]]
     manifest.ensure(digest)
     manifest.mark_quarantined(
         digest, "deterministic", "SimulationError: boom"
@@ -398,10 +381,10 @@ def test_quarantined_cells_survive_merge_as_failed_markers(tmp_path):
 
     cache, merged_manifest, summary = shards.merge_shards(
         plan,
-        [shards.shard_dir(tmp_path / "shards", 0), sick_dir],
+        [shards.shard_dir(tmp_path / "shards", i) for i in range(5)],
         tmp_path / "merged",
     )
-    assert summary.ok == 1
+    assert summary.ok == 4
     assert summary.quarantined == 1
     assert merged_manifest.status == "partial"
     text, quarantined = shards.render_merged(
@@ -412,7 +395,7 @@ def test_quarantined_cells_survive_merge_as_failed_markers(tmp_path):
 
 
 def test_render_rejects_format_the_grid_cannot_produce(tmp_path):
-    plan = build_plan("compare", TINY_COMPARE, 2)
+    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
     dirs = _run_all_shards(plan, tmp_path / "shards")
     cache, manifest, _summary = shards.merge_shards(
         plan, dirs, tmp_path / "merged"

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Self-chaos proof for the crash-surviving shard fabric.
 
-Runs a real shard grid across worker subprocesses, murders one of them
+Runs a real sharded Table 1 across worker subprocesses, murders one of them
 as soon as its first result reaches its cache (SIGKILL — no cleanup
 handlers get to run), tears its manifest at an arbitrary byte offset to
 simulate a write interrupted on a non-atomic filesystem, re-runs the
 victim's index at once (its holder is dead, so its lease does not
 block the re-run, and every result already cached must be served from
 there), merges, and **byte-compares** the merged report in every
-format against an undisturbed single-process run of the same grid.
+format against an undisturbed single-process run of the same batch.
 
 Along the way it also proves the observability contract: ``repro-rtc
 shard status`` must exit 0 on the torn manifest (reporting the lost
@@ -16,8 +16,8 @@ cells as pending) and ``--strict`` must refuse it.
 
 Usage::
 
-    python tools/shard_chaos.py --quick            # CI: small sweep grid
-    python tools/shard_chaos.py                    # fuller grid
+    python tools/shard_chaos.py --quick            # CI: 4-cell Table 1
+    python tools/shard_chaos.py                    # 12-cell Table 1
     python tools/shard_chaos.py --report chaos.json
     python tools/shard_chaos.py --seed 7           # different tear offset
 
@@ -42,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.experiments import artifacts  # noqa: E402
 from repro.pipeline import shards  # noqa: E402
 from repro.pipeline.parallel import run_many  # noqa: E402
 
@@ -78,11 +79,10 @@ class Harness:
         self.deadline = time.monotonic() + SCENARIO_TIMEOUT
         self.checks: list[dict] = []
         self.failed = False
+        self.kind = "table1"
         if args.quick:
-            self.kind = "sweep"
             self.params: dict = {"ratios": [0.3, 0.2], "seeds": [1]}
         else:
-            self.kind = "sweep"
             self.params = {"ratios": [0.45, 0.3, 0.2], "seeds": [1, 2]}
 
     # ------------------------------------------------------------------
@@ -128,20 +128,22 @@ class Harness:
         plan.save(self.plan_path)
         print(
             f"plan {plan.plan_id}: {len(plan.hashes)} cells of grid "
-            f"'{plan.kind}' over {plan.shards} shards "
-            f"(striping: {plan.striping})"
+            f"'{plan.kind}' over {plan.shards} shards"
         )
 
-        # Undisturbed reference: same grid, one process, no shard
-        # machinery and no cache — then rendered through the same grid
-        # render path the merge uses.
-        definition = shards.grid_def(plan.kind)
-        reference_results = run_many(
-            plan.configs(), workers=self.args.workers, cache=None
+        # Undisturbed reference: same batch, one process, no shard
+        # machinery and no cache — then rendered through the same
+        # artifact render path the merge uses.
+        configs = plan.configs()
+        payload = artifacts.payload_of(
+            plan.kind,
+            plan.params,
+            configs,
+            run_many(configs, workers=self.args.workers, cache=None),
         )
         reference = {
-            fmt: definition.render(plan.params, reference_results, fmt)
-            for fmt in definition.formats
+            fmt: artifacts.render(payload, fmt)
+            for fmt in artifacts.ARTIFACTS[plan.kind].formats
         }
 
         victim = max(
@@ -355,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small grid for CI (4 cells over 3 shards)",
+        help="small batch for CI (4 cells over 3 shards)",
     )
     parser.add_argument(
         "--shards", type=int, default=3, help="shard count (default: 3)"
