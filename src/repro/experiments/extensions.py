@@ -62,7 +62,6 @@ class ExtensionRow:
     mean_ssim: float
     freeze_fraction: float
     pli_count: float
-    extra: str = ""
     failed: str | None = None
 
 

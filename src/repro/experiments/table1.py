@@ -103,15 +103,15 @@ def _row_from_results(
 def plan_batch(
     ratios: tuple[float, ...] = scenarios.TABLE1_DROP_RATIOS,
     seeds: tuple[int, ...] = scenarios.TABLE1_SEEDS,
-    baseline: PolicyName = PolicyName.WEBRTC,
 ) -> tuple[list[SessionConfig], list[tuple[float, int, int]]]:
     """The table's session batch plus its ``(ratio, lo, hi)`` row spans.
 
-    Ratio-major, and per (ratio, seed) the baseline then ADAPTIVE; the
-    same arguments always give the same configs in the same order. The
-    ``table1`` and ``sweep`` grids (:mod:`repro.pipeline.shards`) run
-    exactly this batch, and :func:`rows_from_results` folds results —
-    wherever they were executed — back into rows.
+    Ratio-major, and per (ratio, seed) WEBRTC then ADAPTIVE; the same
+    arguments always give the same configs in the same order.
+    ``ARTIFACTS["table1"]`` (:mod:`repro.experiments.artifacts`) runs
+    exactly this batch, ``shard plan --grid table1`` splits it across
+    hosts, and :func:`rows_from_results` folds results — wherever they
+    were executed — back into rows.
     """
     batch: list[SessionConfig] = []
     spans: list[tuple[float, int, int]] = []
@@ -119,7 +119,9 @@ def plan_batch(
         lo = len(batch)
         for seed in seeds:
             config = scenarios.step_drop_config(ratio, seed=seed)
-            batch.append(dataclasses.replace(config, policy=baseline))
+            batch.append(
+                dataclasses.replace(config, policy=PolicyName.WEBRTC)
+            )
             batch.append(
                 dataclasses.replace(config, policy=PolicyName.ADAPTIVE)
             )

@@ -160,18 +160,44 @@ def estimate_cost(config: object) -> float:
 # ----------------------------------------------------------------------
 # Config canonicalization and hashing
 # ----------------------------------------------------------------------
+#: Types :func:`config_to_dict` returns as they are, before any other test.
+_EXACT_SCALARS = frozenset({type(None), bool, int, float, str})
+
+#: Each class :func:`config_to_dict` has met: its field names in
+#: ``dataclasses.fields`` order, or ``None`` when it is not a dataclass.
+#: A class's fields never change, so each class is reflected on once.
+#: Every caller would fill the table alike, and it holds one entry per
+#: class, so one table serves the whole process.
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """``cls``'s field names, resolved once and kept in the table."""
+    names = None
+    if dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+    _FIELD_NAMES[cls] = names
+    return names
+
+
 def config_to_dict(value: object) -> object:
     """Recursively convert a config object to JSON-ready primitives.
 
     Handles dataclasses, enums, :class:`BandwidthTrace` (encoded as its
     breakpoint list), tuples/lists, and scalars. The output is stable:
-    the same config always maps to the same structure.
+    the same config always maps to the same structure, and a
+    dataclass's keys come in field order (:meth:`ResultCache.put`
+    writes them unsorted).
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: config_to_dict(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    cls = type(value)
+    if cls in _EXACT_SCALARS:
+        return value
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _field_names(cls)
+    if names is not None:
+        return {name: config_to_dict(getattr(value, name)) for name in names}
     if isinstance(value, enum.Enum):
         return value.value
     if isinstance(value, BandwidthTrace):
@@ -180,7 +206,7 @@ def config_to_dict(value: object) -> object:
         ]}
     if isinstance(value, (tuple, list)):
         return [config_to_dict(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if isinstance(value, (int, float, str)):  # e.g. a numpy.float64
         return value
     raise ConfigError(
         f"cannot canonicalize {type(value).__name__!r} for hashing"

@@ -22,7 +22,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import table1
 from repro.pipeline import shards
-from repro.pipeline.config import PolicyName
 from repro.pipeline.manifest import RunManifest, lease_state
 from repro.pipeline.parallel import run_many
 from repro.pipeline.shards import build_plan
@@ -31,9 +30,7 @@ GRID = {"ratios": [0.3, 0.2], "seeds": [1, 2]}
 
 
 def _serial_reference(fmt: str) -> str:
-    batch, spans = table1.plan_batch(
-        ratios=(0.3, 0.2), seeds=(1, 2), baseline=PolicyName.WEBRTC
-    )
+    batch, spans = table1.plan_batch(ratios=(0.3, 0.2), seeds=(1, 2))
     results = run_many(batch, workers=1, cache=None)
     return table1.render(table1.rows_from_results(results, spans), fmt)
 

@@ -127,7 +127,10 @@ def test_create_salvages_a_torn_file(tmp_path):
     path = tmp_path / "m.json"
     _sealed_manifest(path)
     path.write_bytes(path.read_bytes()[:50])
-    manifest = RunManifest.create(path, command="shard")
+    with pytest.warns(
+        RuntimeWarning, match="resuming past a damaged manifest"
+    ):
+        manifest = RunManifest.create(path, command="shard")
     assert manifest.run_id != TORN_RUN_ID
     assert manifest.records == {}
     manifest.ensure("e" * 64)

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ConfigError, ErrorClass
 from repro.experiments import ARTIFACTS, artifacts
 from repro.pipeline import shards
-from repro.pipeline.config import PolicyName
 from repro.pipeline.manifest import RunManifest
 from repro.pipeline.parallel import ResultCache, config_hash, run_config
 from repro.pipeline.shards import ShardPlan, build_plan
@@ -87,9 +86,7 @@ def test_plan_matches_grid_enumeration():
     from repro.experiments import table1
 
     plan = build_plan("table1", SMALL_TABLE1, 2)
-    batch, _spans = table1.plan_batch(
-        ratios=(0.3, 0.2), seeds=(1, 2), baseline=PolicyName.WEBRTC
-    )
+    batch, _spans = table1.plan_batch(ratios=(0.3, 0.2), seeds=(1, 2))
     assert plan.hashes == tuple(config_hash(c) for c in batch)
     assert [config_hash(c) for c in plan.configs()] == list(plan.hashes)
 
