@@ -19,7 +19,7 @@ RTC stacks implement both.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -409,14 +409,12 @@ class NackFrameAssembler:
     ) -> None:
         breaks_chain = False
         for seq in newly_lost:
-            owner = next(
-                (r for r in self._frames.values() if r.covers_seq(seq)),
-                None,
-            )
+            owner = self._owner(seq)
             # Losing a non-reference (T1) frame is recoverable without
             # a keyframe; anything else breaks the chain.
             if owner is None or owner.temporal_layer == 0:
                 breaks_chain = True
+                break
         for record in self._frames.values():
             if (
                 record.complete_time is None
@@ -427,6 +425,24 @@ class NackFrameAssembler:
         if breaks_chain:
             self._chain_intact = False
             self._request_pli(now)
+
+    def _owner(self, seq: int) -> FrameRecord | None:
+        """The frame whose packet range holds ``seq``, if it has a record.
+
+        Frames own disjoint sequence ranges, and ``base_seq`` rises with
+        the frame index, so ``_order`` is sorted by ``base_seq`` too: only
+        the last frame starting at or below ``seq`` can hold it.
+        """
+        frames = self._frames
+        order = self._order
+        pos = bisect_right(
+            order, seq, key=lambda index: frames[index].base_seq
+        )
+        if pos:
+            record = frames[order[pos - 1]]
+            if seq <= record.end_seq:
+                return record
+        return None
 
     def _request_pli(self, now: float) -> None:
         if self._send_pli is None:

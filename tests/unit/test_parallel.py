@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import pickle
@@ -264,6 +265,30 @@ class TestResultCache:
         assert json.dumps(hit.to_dict(), sort_keys=True) == json.dumps(
             fresh.to_dict(), sort_keys=True
         )
+
+    def test_put_leaves_the_collector_as_it_found_it(self, tmp_path):
+        # put pauses the cyclic collector while it builds and writes the
+        # entry; it must resume it, also when the result fails to encode.
+        cache = ResultCache(tmp_path)
+        config = short_config()
+        result = run_session(config)
+        assert gc.isenabled()
+        cache.put(config, result)
+        assert gc.isenabled()
+
+        class Unencodable:
+            def to_dict(self):
+                raise ValueError("cannot encode")
+
+        with pytest.raises(ValueError):
+            cache.put(config, Unencodable())
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            cache.put(config, result)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_entries_keyed_by_config(self, tmp_path):
         cache = ResultCache(tmp_path)
