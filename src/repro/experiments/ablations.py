@@ -9,39 +9,27 @@
 Each ablation returns its variants (see
 :func:`~repro.experiments.scenarios.fold_variants`); the registry in
 :mod:`repro.experiments.artifacts` runs their batch and folds each
-variant into one :func:`averaged_row`.
+variant into one row of :data:`METRICS`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..core.config import AdaptiveConfig, DetectorConfig
 from ..pipeline.config import PolicyName, SessionConfig
-from ..pipeline.results import SessionResult
-from ..pipeline.supervisor import failure_label, split_failures
 from ..units import ms
 from . import scenarios
-from .scenarios import Variant
+from .scenarios import DROP_WINDOW, Variant
 
-
-@dataclass(frozen=True)
-class AblationRow:
-    """Latency/quality of one controller variant on one scenario.
-
-    ``failed`` is ``None`` on the normal path; under supervised
-    execution a quarantined session yields NaN metrics plus the
-    ``FAILED(<reason>)`` marker.
-    """
-
-    variant: str
-    mean_latency: float
-    p95_latency: float
-    mean_ssim: float
-    failed: str | None = None
+#: The fields of an ablation row, each a seed mean (see
+#: :func:`~repro.experiments.scenarios.seed_mean`): latency over the
+#: drop window, displayed SSIM over the session.
+METRICS = {
+    "mean_latency": lambda r: r.mean_latency(*DROP_WINDOW),
+    "p95_latency": lambda r: r.percentile_latency(95, *DROP_WINDOW),
+    "mean_ssim": lambda r: r.mean_displayed_ssim(),
+}
 
 
 def _variant_configs(
@@ -68,33 +56,6 @@ def _variant_configs(
             )
         configs.append(config)
     return configs
-
-
-def averaged_row(variant: str, results: list[SessionResult]) -> AblationRow:
-    """One variant's seed-averaged row (a ``FAILED(...)`` row when any
-    of its sessions was quarantined)."""
-    _ok, failures = split_failures(results)
-    if failures:
-        nan = float("nan")
-        return AblationRow(
-            variant=variant,
-            mean_latency=nan,
-            p95_latency=nan,
-            mean_ssim=nan,
-            failed=failure_label(failures),
-        )
-    start, end = scenarios.DROP_WINDOW
-    lat, p95, ssim = [], [], []
-    for result in results:
-        lat.append(result.mean_latency(start, end))
-        p95.append(result.percentile_latency(95, start, end))
-        ssim.append(result.mean_displayed_ssim())
-    return AblationRow(
-        variant=variant,
-        mean_latency=float(np.mean(lat)),
-        p95_latency=float(np.mean(p95)),
-        mean_ssim=float(np.mean(ssim)),
-    )
 
 
 def detector_ablation(
@@ -236,48 +197,3 @@ def content_sensitivity(
         (content.value, _paired_variants(content.value, of(content), seeds))
         for content in ContentClass
     ]
-
-
-def format_paired_rows(
-    pairs: list[tuple[str, AblationRow, AblationRow]], title: str
-) -> str:
-    """Aligned table for (label, baseline, adaptive) triples."""
-    header = (
-        f"{'point':<15} {'base lat':>10} {'adpt lat':>10} "
-        f"{'reduction':>10} {'base SSIM':>10} {'adpt SSIM':>10}"
-    )
-    lines = [title, header, "-" * len(header)]
-    for label, base, adap in pairs:
-        if base.failed is not None or adap.failed is not None:
-            marker = base.failed or adap.failed
-            lines.append(f"{label:<15} {marker}")
-            continue
-        reduction = (1 - adap.mean_latency / base.mean_latency) * 100
-        lines.append(
-            f"{label:<15} "
-            f"{base.mean_latency * 1e3:>8.1f}ms "
-            f"{adap.mean_latency * 1e3:>8.1f}ms "
-            f"{reduction:>9.1f}% "
-            f"{base.mean_ssim:>10.4f} "
-            f"{adap.mean_ssim:>10.4f}"
-        )
-    return "\n".join(lines)
-
-
-def format_rows(rows: list[AblationRow], title: str) -> str:
-    """Aligned text table for ablation output."""
-    header = (
-        f"{'variant':<20} {'mean lat':>10} {'p95 lat':>10} {'SSIM':>8}"
-    )
-    lines = [title, header, "-" * len(header)]
-    for row in rows:
-        if row.failed is not None:
-            lines.append(f"{row.variant:<20} {row.failed}")
-            continue
-        lines.append(
-            f"{row.variant:<20} "
-            f"{row.mean_latency * 1e3:>8.1f}ms "
-            f"{row.p95_latency * 1e3:>8.1f}ms "
-            f"{row.mean_ssim:>8.4f}"
-        )
-    return "\n".join(lines)

@@ -4,8 +4,12 @@
 ``plan(**params)`` that returns the experiment's whole batch of
 configs, a ``fold(results, **params)`` that turns the batch's results
 (in batch order, quarantined cells as
-:class:`~repro.pipeline.supervisor.FailedSession`) into JSON-ready
-rows, and a ``render(rows, params, fmt)`` that writes the text.
+:class:`~repro.pipeline.supervisor.FailedSession`) into JSON rows, and
+a ``table(rows, params)`` that writes those rows as aligned text. Every
+row carries ``failed``: ``None``, or the ``FAILED(<reason>)`` marker of
+a row with a quarantined session, which keeps its label fields and
+holds ``None`` for every metric
+(:func:`~repro.experiments.scenarios.failed_row`).
 
 :func:`produce` is the one place a batch runs: it resolves the params,
 plans the batch, runs it through
@@ -14,10 +18,12 @@ cache, workers and supervision) and returns the payload that
 ``<name>.json`` holds: the rows at full precision, the params, each
 cell's config hash in batch order, and
 :data:`~repro.pipeline.parallel.CACHE_SCHEMA_VERSION`. :func:`render`
-turns a payload, fresh or read back from ``<name>.json``, into text.
-``repro-rtc experiments`` writes both files; ``repro-rtc table1``,
-``chaos`` and ``fleet`` print their entries with flags for the params;
-and ``repro-rtc shard plan`` splits any entry's batch across hosts
+writes a payload, fresh or read back from ``<name>.json``, in any of
+:data:`FORMATS`: ``json`` is the payload itself, ``csv`` one line per
+row, and ``table`` the artifact's text. ``repro-rtc experiments``
+writes the json and the table; ``repro-rtc table1``, ``chaos`` and
+``fleet`` print their entries with flags for the params; and
+``repro-rtc shard plan`` splits any entry's batch across hosts
 (:mod:`repro.pipeline.shards`). Other params are a library call:
 ``render(produce("figure4", seeds=[1, 2, 3, 4, 5]))``.
 """
@@ -28,7 +34,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 from ..errors import ConfigError
@@ -49,55 +54,219 @@ from .scenarios import batch_of, fold_variants
 
 @dataclass(frozen=True)
 class Artifact:
-    """One experiment: ``render(fold(results, **p), p, fmt)`` over the
-    results of ``plan(**p)``.
-
-    ``render`` reads rows as objects with one attribute per field (see
-    :func:`render`) and returns text ending in a newline, in any of
-    ``formats``.
-    """
+    """One experiment: ``table(fold(results, **p), p)`` over the results
+    of ``plan(**p)``; ``table`` returns text without a final newline."""
 
     params: dict
     plan: Callable[..., list]
     fold: Callable[..., list]
-    render: Callable[[list, dict, str], str]
-    formats: tuple[str, ...] = ("table",)
+    table: Callable[[list, dict], str]
 
 
+# ----------------------------------------------------------------------
+# The table writer
+# ----------------------------------------------------------------------
+#: One text-table column: its header, the ``str.format`` template of its
+#: cells, and the row field it shows or a function of the row.
+Column = tuple[str, str, "str | Callable[[dict], object]"]
+
+
+def text_table(
+    title: str, columns: tuple[Column, ...], rows: list[dict], rule=True
+) -> str:
+    """``title``, a header line, a rule under it when ``rule`` is set,
+    then one line per row; cells are joined by one space.
+
+    Each header is as wide as its column's template makes a cell, and
+    aligned the same way. A failed row shows its labels (its leading
+    columns that name a set field), then its ``FAILED(...)`` marker.
+    """
+    header = " ".join(
+        _header(name, template) for name, template, _value in columns
+    )
+    lines = [title, header]
+    if rule:
+        lines.append("-" * len(header))
+    lines.extend(" ".join(_cells(columns, row)) for row in rows)
+    return "\n".join(lines)
+
+
+def _header(name: str, template: str) -> str:
+    width = len(template.format(0))
+    if template.startswith("{:<"):
+        return name.ljust(width)
+    return name.rjust(width)
+
+
+def _cells(columns: tuple[Column, ...], row: dict):
+    for _name, template, value in columns:
+        if row["failed"] is not None and (
+            callable(value) or row[value] is None
+        ):
+            yield row["failed"]
+            return
+        yield template.format(value(row) if callable(value) else row[value])
+
+
+def _ms(field: str):
+    """A latency field in seconds, shown in milliseconds."""
+    return lambda row: row[field] * 1e3
+
+
+def _kbps(field: str):
+    """A rate field in bit/s, shown in kbit/s."""
+    return lambda row: row[field] / 1e3
+
+
+def _titled(title: str, columns: tuple[Column, ...], rule=True):
+    """A ``table`` that writes one :func:`text_table`."""
+    return lambda rows, params: text_table(title, columns, rows, rule)
+
+
+_TABLE1_COLUMNS = (
+    ("scenario", "{:<14}", "label"),
+    ("base lat", "{:>7.1f}ms", _ms("baseline_latency")),
+    ("adpt lat", "{:>7.1f}ms", _ms("adaptive_latency")),
+    ("reduction", "{:>9.2f}%", "latency_reduction_pct"),
+    ("base SSIM", "{:>10.4f}", "baseline_ssim"),
+    ("adpt SSIM", "{:>10.4f}", "adaptive_ssim"),
+    ("SSIM chg", "{:>+8.2f}%", "ssim_change_pct"),
+    (
+        "PLI b/a",
+        "{:>8}",
+        lambda r: f"{r['baseline_pli']:>4.1f}/{r['adaptive_pli']:<3.1f}",
+    ),
+)
+
+_ABLATION_COLUMNS = (
+    ("variant", "{:<20}", "variant"),
+    ("mean lat", "{:>8.1f}ms", _ms("mean_latency")),
+    ("p95 lat", "{:>8.1f}ms", _ms("p95_latency")),
+    ("SSIM", "{:>8.4f}", "mean_ssim"),
+)
+
+_PAIRED_COLUMNS = (
+    ("point", "{:<15}", "point"),
+    ("base lat", "{:>8.1f}ms", lambda r: r["baseline"]["mean_latency"] * 1e3),
+    ("adpt lat", "{:>8.1f}ms", lambda r: r["adaptive"]["mean_latency"] * 1e3),
+    (
+        "reduction",
+        "{:>9.1f}%",
+        lambda r: (
+            1 - r["adaptive"]["mean_latency"] / r["baseline"]["mean_latency"]
+        ) * 100,
+    ),
+    ("base SSIM", "{:>10.4f}", lambda r: r["baseline"]["mean_ssim"]),
+    ("adpt SSIM", "{:>10.4f}", lambda r: r["adaptive"]["mean_ssim"]),
+)
+
+_COMPARISON_COLUMNS = (
+    ("policy", "{:<13}", "policy"),
+    ("mean lat", "{:>8.1f}ms", _ms("mean_latency")),
+    ("p95 lat", "{:>8.1f}ms", _ms("p95_latency")),
+    ("peak lat", "{:>8.1f}ms", _ms("peak_latency")),
+    ("SSIM", "{:>8.4f}", "mean_ssim"),
+    ("freeze", "{:>7.3f}", "freeze_fraction"),
+    ("PLI", "{:>5.1f}", "pli_count"),
+)
+
+_EXTENSION_COLUMNS = (
+    ("variant", "{:<22}", "variant"),
+    ("mean lat", "{:>8.1f}ms", _ms("mean_latency")),
+    ("p95 lat", "{:>8.1f}ms", _ms("p95_latency")),
+    ("SSIM", "{:>8.4f}", "mean_ssim"),
+    ("freeze", "{:>7.3f}", "freeze_fraction"),
+    ("PLI", "{:>6.1f}", "pli_count"),
+)
+
+_RECOVERY_COLUMNS = (
+    ("variant", "{:<12}", "variant"),
+    ("bitrate", "{:>7.0f}kbps", _kbps("post_recovery_bitrate")),
+    ("latency", "{:>7.1f}ms", _ms("post_recovery_latency")),
+    ("SSIM", "{:>8.4f}", "post_recovery_ssim"),
+)
+
+_AUDIO_COLUMNS = (
+    ("policy", "{:<10}", "policy"),
+    ("steady", "{:>7.1f}ms", _ms("steady_audio_latency")),
+    ("in drop", "{:>7.1f}ms", _ms("drop_audio_latency")),
+    ("loss", "{:>7.3f}", "audio_loss"),
+)
+
+_FAIRNESS_COLUMNS = (
+    ("pairing", "{:<20}", "pairing"),
+    ("rate A", "{:>6.0f}kbps", _kbps("rate_a")),
+    ("rate B", "{:>6.0f}kbps", _kbps("rate_b")),
+    ("Jain", "{:>6.3f}", "fairness"),
+    ("lat A", "{:>7.1f}ms", _ms("latency_a")),
+    ("lat B", "{:>7.1f}ms", _ms("latency_b")),
+)
+
+_SIMULCAST_COLUMNS = (
+    ("variant", "{:<12}", "variant"),
+    ("mean lat", "{:>8.1f}ms", _ms("mean_latency")),
+    ("p95 lat", "{:>8.1f}ms", _ms("p95_latency")),
+    ("SSIM drop", "{:>10.4f}", "drop_ssim"),
+    ("SSIM all", "{:>9.4f}", "mean_ssim"),
+)
+
+_CHAOS_COLUMNS = (
+    ("fault", "{:<22}", "fault"),
+    ("policy", "{:<10}", "policy"),
+    ("Δp95", "{:>+7.1f}ms", "delta_p95_ms"),
+    ("ΔSSIM", "{:>+8.4f}", "delta_ssim"),
+    ("Δfreeze", "{:>+8.3f}", "delta_freeze"),
+    (
+        "recovery",
+        "{:>9}",
+        lambda r: "never" if r["recovery_s"] is None
+        else f"{r['recovery_s']:.2f}s",
+    ),
+    ("unrec", "{:>6d}", "unrecovered"),
+)
+
+_FLEET_COLUMNS = (
+    ("scenario", "{:<22}", "scenario"),
+    ("seed", "{:>4}", "seed"),
+    ("p50", "{:>6.1f}ms", "p50_ms"),
+    ("p95", "{:>7.1f}ms", "p95_ms"),
+    ("p99", "{:>7.1f}ms", "p99_ms"),
+    ("freeze", "{:>7.3f}", "freeze_ratio"),
+    ("ssim", "{:>7.4f}", "mean_ssim"),
+    ("switch", "{:>6d}", "layer_switches"),
+    ("a.p95", "{:>7.1f}ms", "region_a_p95_ms"),
+    ("b.p95", "{:>7.1f}ms", "region_b_p95_ms"),
+)
+
+
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
 _SEEDS = (1, 2, 3)
 
 # The params of most artifacts: the drop to 20%, seeds 1–3.
 _DROP = {"drop_ratio": 0.2, "seeds": _SEEDS}
 
 
-def _titled(formatter, title: str):
-    """A ``render`` through ``formatter(rows, title)``, table only."""
-    return lambda rows, params, fmt: formatter(rows, title) + "\n"
-
-
 def _variants(
-    variants, row, formatter, title: str, params=_DROP,
-    to_json=dataclasses.asdict,
+    variants, metrics: dict, table, key="variant", params=_DROP
 ) -> Artifact:
-    """An experiment of variants (labelled config groups), one row each."""
+    """An experiment of variants (labelled config groups), one
+    :func:`~repro.experiments.scenarios.seed_mean` row of ``metrics``
+    each, labelled ``{key: label}``."""
     return Artifact(
         params,
         plan=lambda **p: batch_of(variants(**p)),
-        fold=lambda results, **p: [
-            to_json(r) for r in fold_variants(results, variants(**p), row)
-        ],
-        render=_titled(formatter, title),
-    )
-
-
-def _extension(variants, row, formatter, title, params=_DROP) -> Artifact:
-    return _variants(
-        variants, row, formatter, title, params, to_json=extensions.row_dict
+        fold=lambda results, **p: fold_variants(
+            results, variants(**p), metrics, key
+        ),
+        table=table,
     )
 
 
 def _paired(points, title: str) -> Artifact:
-    """An ablation of points, each a baseline and an adaptive variant."""
+    """An ablation of points, each a baseline and an adaptive variant:
+    a row nests their two ablation rows, and fails with either."""
 
     def fold(results, **p) -> list[dict]:
         pairs = points(**p)
@@ -105,15 +274,11 @@ def _paired(points, title: str) -> Artifact:
             fold_variants(
                 results,
                 [v for _point, variants in pairs for v in variants],
-                ablations.averaged_row,
+                ablations.METRICS,
             )
         )
         return [
-            {
-                "point": point,
-                "baseline": dataclasses.asdict(next(rows)),
-                "adaptive": dataclasses.asdict(next(rows)),
-            }
+            {"point": point, "baseline": next(rows), "adaptive": next(rows)}
             for point, _variants in pairs
         ]
 
@@ -123,9 +288,18 @@ def _paired(points, title: str) -> Artifact:
             c for _point, variants in points(**p) for c in batch_of(variants)
         ],
         fold=fold,
-        render=lambda rows, params, fmt: ablations.format_paired_rows(
-            [(r.point, r.baseline, r.adaptive) for r in rows], title
-        ) + "\n",
+        table=lambda rows, params: text_table(
+            title,
+            _PAIRED_COLUMNS,
+            [
+                {
+                    **row,
+                    "failed": row["baseline"]["failed"]
+                    or row["adaptive"]["failed"],
+                }
+                for row in rows
+            ],
+        ),
     )
 
 
@@ -138,29 +312,20 @@ def _figure(plan, fold, title: str, **params) -> Artifact:
             {"key": key, **dataclasses.asdict(series)}
             for key, series in fold(results, **p).items()
         ],
-        render=lambda rows, params, fmt: figures.format_figure(
-            {r.key: r for r in rows}, title
-        ) + "\n",
+        table=lambda rows, params: figures.format_figure(rows, title),
     )
 
 
-def _table1_fold(results, ratios, seeds) -> list[dict]:
-    _batch, spans = table1.plan_batch(ratios=ratios, seeds=seeds)
-    return table1.rows_to_dicts(table1.rows_from_results(results, spans))
-
-
 def _all_policies(drop_ratio: float) -> Artifact:
-    return Artifact(
-        {"drop_ratio": drop_ratio, "seeds": _SEEDS},
-        plan=comparison.plan_batch,
-        fold=lambda results, drop_ratio, seeds: [
-            dataclasses.asdict(row)
-            for row in comparison.rows_from_results(results, seeds)
-        ],
-        render=_titled(
-            comparison.format_comparison,
+    return _variants(
+        comparison.all_policies,
+        comparison.METRICS,
+        _titled(
             f"All policies — drop to {drop_ratio:.0%} of capacity",
+            _COMPARISON_COLUMNS,
         ),
+        key="policy",
+        params={"drop_ratio": drop_ratio, "seeds": _SEEDS},
     )
 
 
@@ -176,33 +341,6 @@ def _chaos_args(p: dict) -> dict:
     }
 
 
-def _chaos_render(rows, p: dict, fmt: str) -> str:
-    report = robustness.RobustnessReport(
-        scenarios=tuple(p["scenarios"]),
-        faults=tuple(p["faults"]),
-        policies=tuple(p["policies"]),
-        seeds=tuple(p["seeds"]),
-        duration=p["duration"],
-        fault_at=p["fault_at"],
-        measure_from=robustness.MEASURE_FROM,
-        cells=[robustness.RobustnessCell(**vars(row)) for row in rows],
-    )
-    return robustness.render(report, fmt)
-
-
-def _fleet_render(rows, p: dict, fmt: str) -> str:
-    report = fleet.FleetReport(
-        scenarios=tuple(p["scenarios"]),
-        seeds=tuple(p["seeds"]),
-        subscribers=p["subscribers"],
-        duration=p["duration"],
-        cells=[fleet.FleetCell(**vars(row)) for row in rows],
-    )
-    return fleet.render(report, fmt)
-
-
-_FORMATS = ("table", "json", "csv")
-
 #: Every artifact by name, in the order ``repro-rtc experiments`` runs
 #: them.
 ARTIFACTS: dict[str, Artifact] = {
@@ -212,9 +350,14 @@ ARTIFACTS: dict[str, Artifact] = {
             "seeds": scenarios.TABLE1_SEEDS,
         },
         plan=lambda ratios, seeds: table1.plan_batch(ratios, seeds)[0],
-        fold=_table1_fold,
-        render=lambda rows, params, fmt: table1.render(rows, fmt),
-        formats=_FORMATS,
+        fold=lambda results, ratios, seeds: table1.rows(
+            results, table1.plan_batch(ratios, seeds)[1]
+        ),
+        table=_titled(
+            "Table 1 — latency reduction and quality change "
+            "(adaptive vs baseline)",
+            _TABLE1_COLUMNS,
+        ),
     ),
     "figure1": _figure(
         figures.plan_figure1,
@@ -241,20 +384,22 @@ ARTIFACTS: dict[str, Artifact] = {
         ratios=(0.8, 0.6, 0.45, 0.3, 0.2, 0.12), seeds=_SEEDS,
     ),
     "ablation_a_detector": _variants(
-        ablations.detector_ablation, ablations.averaged_row,
-        ablations.format_rows, "Ablation A — detector signals",
+        ablations.detector_ablation, ablations.METRICS,
+        _titled("Ablation A — detector signals", _ABLATION_COLUMNS),
     ),
     "ablation_b_strategies": _variants(
-        ablations.strategy_ablation, ablations.averaged_row,
-        ablations.format_rows, "Ablation B — strategies",
+        ablations.strategy_ablation, ablations.METRICS,
+        _titled("Ablation B — strategies", _ABLATION_COLUMNS),
     ),
     "ablation_c_rtt": _variants(
-        ablations.rtt_sensitivity, ablations.averaged_row,
-        ablations.format_rows, "Ablation C1 — RTT sensitivity",
+        ablations.rtt_sensitivity, ablations.METRICS,
+        _titled("Ablation C1 — RTT sensitivity", _ABLATION_COLUMNS),
     ),
     "ablation_c_feedback": _variants(
-        ablations.feedback_interval_sensitivity, ablations.averaged_row,
-        ablations.format_rows, "Ablation C2 — feedback-interval sensitivity",
+        ablations.feedback_interval_sensitivity, ablations.METRICS,
+        _titled(
+            "Ablation C2 — feedback-interval sensitivity", _ABLATION_COLUMNS
+        ),
     ),
     "ablation_d_queue_depth": _paired(
         ablations.queue_depth_sensitivity,
@@ -265,45 +410,66 @@ ARTIFACTS: dict[str, Artifact] = {
     ),
     "comparison_severe": _all_policies(0.2),
     "comparison_mild": _all_policies(0.6),
-    "extension_e_estimators": _extension(
-        extensions.estimator_comparison, extensions.drop_window_row,
-        extensions.format_extension_rows,
-        "Abl. E — GCC delay estimator (trendline vs Kalman)",
+    "extension_e_estimators": _variants(
+        extensions.estimator_comparison, extensions.DROP_WINDOW_METRICS,
+        _titled(
+            "Abl. E — GCC delay estimator (trendline vs Kalman)",
+            _EXTENSION_COLUMNS,
+        ),
     ),
-    "extension_f_recovery": _extension(
-        extensions.recovery_mechanism_comparison, extensions.averaged_row,
-        extensions.format_extension_rows,
-        "Ext. F — loss recovery: PLI vs NACK vs FEC (2% loss, 40 ms RTT)",
-        {"seeds": _SEEDS},
+    "extension_f_recovery": _variants(
+        extensions.recovery_mechanism_comparison,
+        extensions.SESSION_METRICS,
+        _titled(
+            "Ext. F — loss recovery: PLI vs NACK vs FEC "
+            "(2% loss, 40 ms RTT)",
+            _EXTENSION_COLUMNS,
+        ),
+        params={"seeds": _SEEDS},
     ),
-    "extension_g_aqm": _extension(
-        extensions.aqm_comparison, extensions.drop_window_row,
-        extensions.format_extension_rows,
-        "Ext. G — bottleneck discipline: drop-tail vs CoDel",
+    "extension_g_aqm": _variants(
+        extensions.aqm_comparison, extensions.DROP_WINDOW_METRICS,
+        _titled(
+            "Ext. G — bottleneck discipline: drop-tail vs CoDel",
+            _EXTENSION_COLUMNS,
+        ),
     ),
-    "extension_h_recovery": _extension(
-        extensions.fast_recovery_comparison, extensions.recovery_row,
-        extensions.format_recovery_rows,
-        "Ext. H — post-drop recovery (t = 25–35 s, capacity restored "
-        "at t = 20 s)",
+    "extension_h_recovery": _variants(
+        extensions.fast_recovery_comparison, extensions.RECOVERY_METRICS,
+        _titled(
+            "Ext. H — post-drop recovery (t = 25–35 s, capacity restored "
+            "at t = 20 s)",
+            _RECOVERY_COLUMNS,
+            rule=False,
+        ),
     ),
-    "extension_i_audio": _extension(
-        extensions.audio_impact, extensions.audio_row,
-        extensions.format_audio_rows,
-        "Ext. I — audio latency during the video drop (to 20%)",
+    "extension_i_audio": _variants(
+        extensions.audio_impact, extensions.AUDIO_METRICS,
+        _titled(
+            "Ext. I — audio latency during the video drop (to 20%)",
+            _AUDIO_COLUMNS,
+            rule=False,
+        ),
+        key="policy",
     ),
-    "extension_j_fairness": _extension(
-        extensions.fairness_comparison, extensions.fairness_row,
-        extensions.format_fairness_rows,
-        "Ext. J — two flows sharing a 4→1 Mbps bottleneck "
-        "(post-drop split, drop-window latency)",
-        {"seeds": _SEEDS},
+    "extension_j_fairness": _variants(
+        extensions.fairness_comparison, extensions.FAIRNESS_METRICS,
+        _titled(
+            "Ext. J — two flows sharing a 4→1 Mbps bottleneck "
+            "(post-drop split, drop-window latency)",
+            _FAIRNESS_COLUMNS,
+        ),
+        key="pairing",
+        params={"seeds": _SEEDS},
     ),
-    "extension_k_simulcast": _extension(
-        extensions.simulcast_comparison, extensions.simulcast_row,
-        extensions.format_simulcast_rows,
-        "Ext. K — production simulcast (SFU layer switch) vs encoder "
-        "adaptation (drop to 20%)",
+    "extension_k_simulcast": _variants(
+        extensions.simulcast_comparison, extensions.SIMULCAST_METRICS,
+        _titled(
+            "Ext. K — production simulcast (SFU layer switch) vs encoder "
+            "adaptation (drop to 20%)",
+            _SIMULCAST_COLUMNS,
+            rule=False,
+        ),
     ),
     "chaos": Artifact(
         {
@@ -315,14 +481,17 @@ ARTIFACTS: dict[str, Artifact] = {
             "fault_at": robustness.FAULT_AT,
         },
         plan=lambda **p: robustness.plan_batch(**_chaos_args(p)),
-        fold=lambda results, **p: [
-            cell.to_dict()
-            for cell in robustness.report_from_results(
-                results, **_chaos_args(p)
-            ).cells
-        ],
-        render=_chaos_render,
-        formats=_FORMATS,
+        fold=lambda results, **p: robustness.rows_from_results(
+            results, **_chaos_args(p)
+        ),
+        table=lambda rows, p: "\n\n".join(
+            text_table(
+                f"scenario: {scenario}",
+                _CHAOS_COLUMNS,
+                [row for row in rows if row["scenario"] == scenario],
+            )
+            for scenario in p["scenarios"]
+        ),
     ),
     "fleet": Artifact(
         {
@@ -334,14 +503,15 @@ ARTIFACTS: dict[str, Artifact] = {
         plan=lambda scenarios, seeds, subscribers, duration: fleet.plan_batch(
             tuple(scenarios), tuple(seeds), subscribers, duration
         ),
-        fold=lambda results, scenarios, seeds, **_p: [
-            cell.to_dict()
-            for cell in fleet.rows_from_results(
-                results, tuple(scenarios), tuple(seeds)
-            )
-        ],
-        render=_fleet_render,
-        formats=_FORMATS,
+        fold=lambda results, scenarios, seeds, **_p: fleet.rows_from_results(
+            results, tuple(scenarios), tuple(seeds)
+        ),
+        table=lambda rows, p: text_table(
+            f"fleet: {p['subscribers']} subscribers x "
+            f"{p['duration']:g}s per cell",
+            _FLEET_COLUMNS,
+            rows,
+        ),
     ),
 }
 
@@ -403,28 +573,52 @@ def produce(name: str, **params) -> dict:
     return payload_of(name, params, batch, run_many(batch))
 
 
+#: The formats :func:`render` writes.
+FORMATS = ("table", "json", "csv")
+
+
 def render(payload: dict, fmt: str = "table") -> str:
     """The artifact's text in ``fmt`` from its payload alone.
 
-    The rows go through JSON and come back as objects with one
-    attribute per field, which is all the formatters read, so a
-    payload read from ``<name>.json`` renders like a fresh one.
+    ``json`` is the payload, as ``<name>.json`` holds it. ``table`` and
+    ``csv`` read only its rows and params, so a payload read back from
+    ``<name>.json`` renders the same table as a fresh one. ``csv``
+    writes a header of the row keys, in the order the payload holds
+    them (a fresh fold's, or sorted when read back), then one line per
+    row, ``None`` as an empty cell and a float as its ``repr``.
 
     Raises:
-        ConfigError: a format the artifact cannot render.
+        ConfigError: an unknown format, or ``csv`` for an artifact
+            whose rows nest lists or objects.
     """
     name = payload["artifact"]
-    entry = ARTIFACTS[name]
-    if fmt not in entry.formats:
+    rows = payload["rows"]
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "table":
+        return ARTIFACTS[name].table(rows, payload["params"]) + "\n"
+    if fmt != "csv":
         raise ConfigError(
-            f"artifact {name!r} cannot render {fmt!r} "
-            f"(formats: {', '.join(entry.formats)})"
+            f"unknown format {fmt!r} (formats: {', '.join(FORMATS)})"
         )
-    rows = json.loads(
-        json.dumps(payload["rows"]),
-        object_hook=lambda fields: SimpleNamespace(**fields),
-    )
-    return entry.render(rows, payload["params"], fmt)
+    header = list(rows[0])
+    lines = [",".join(header)]
+    for row in rows:
+        values = [row[key] for key in header]
+        if any(isinstance(value, (dict, list)) for value in values):
+            raise ConfigError(
+                f"artifact {name!r} cannot render 'csv': its rows nest "
+                "lists or objects (formats: table, json)"
+            )
+        lines.append(
+            ",".join(
+                "" if value is None
+                else repr(value) if isinstance(value, float)
+                else str(value)
+                for value in values
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def write(name: str, out_dir: Path | str) -> tuple[Path, Path]:
@@ -435,8 +629,6 @@ def write(name: str, out_dir: Path | str) -> tuple[Path, Path]:
     result = produce(name)
     json_path = directory / f"{name}.json"
     txt_path = directory / f"{name}.txt"
-    json_path.write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    json_path.write_text(render(result, "json"), encoding="utf-8")
     txt_path.write_text(render(result), encoding="utf-8")
     return json_path, txt_path

@@ -2,9 +2,9 @@
 
 Each figure is a ``plan_figureN`` that returns its batch and a
 ``figureN`` that folds the batch's results into plain data (a dict of
-series); :func:`format_figure` renders them as the ``figure*``
-artifacts of :mod:`repro.experiments.artifacts`, and tests assert on
-their shape. No plotting dependency is required — the series are the
+series); the ``figure*`` artifacts of
+:mod:`repro.experiments.artifacts` write each series as one JSON row,
+which :func:`format_figure` renders, and tests assert on their shape. No plotting dependency is required — the series are the
 reproduction artifact.
 """
 
@@ -204,9 +204,14 @@ def figure4(
     return {"reduction": reduction, "ssim_change": ssim_change}
 
 
-def format_figure(series_map: dict[str, Series], title: str) -> str:
-    """The title, then one aligned x/y column block per series."""
+def format_figure(rows: list[dict], title: str) -> str:
+    """The title, then one aligned x/y column block per series row
+    (its ``key``, ``x`` and ``y`` fields), which ends in the row's
+    ``FAILED(...)`` marker when it has one."""
     blocks = [title]
-    for name, series in series_map.items():
-        blocks.append(format_series(name, series.x, series.y, "x", "y"))
+    for row in rows:
+        block = format_series(row["key"], row["x"], row["y"], "x", "y")
+        if row["failed"] is not None:
+            block += "\n" + row["failed"]
+        blocks.append(block)
     return "\n\n".join(blocks)

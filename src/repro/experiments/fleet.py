@@ -4,25 +4,24 @@ Each scenario builds one :class:`~repro.fleet.FleetConfig` per seed —
 a two-region fleet with a deliberately tight shared downlink — and the
 whole grid goes through one :func:`~repro.pipeline.parallel.run_many`
 call, so fleet cells cache, parallelize, supervise, and shard exactly
-like single-session cells. The report carries population-level QoE
-(p50/p95/p99 latency, freeze ratio, SSIM) plus the per-region split
+like single-session cells. Each cell's row carries population-level
+QoE (p50/p95/p99 latency, freeze ratio, SSIM) plus the per-region split
 that makes a regional fault's blast radius visible.
 
 Determinism contract: same (scenario, seed, subscribers, duration) ⇒
-byte-identical JSON/CSV report on any backend (enforced by the
+byte-identical rows in every format on any backend (enforced by the
 ``fleet-smoke`` CI job, serial vs ``--workers 2``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..fleet import FleetConfig, FleetResult, two_region_fleet
-from ..pipeline.supervisor import FailedSession, failure_label
+from ..pipeline.supervisor import FailedSession
+from .scenarios import failed_row
 
 #: Default capture duration for fleet cells (population dynamics —
 #: initial contention, downgrades, probe recovery — play out within a
@@ -112,120 +111,26 @@ SCENARIOS = {
 #: Scenarios exercised when the caller does not pick.
 DEFAULT_SCENARIOS = ("steady", "churn", "regional_degradation")
 
-
-# ----------------------------------------------------------------------
-# Cells and report
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FleetCell:
-    """Population QoE of one (scenario, seed) fleet run.
-
-    ``region_a_*``/``region_b_*`` carry the per-region p95 split (the
-    canonical scenarios are all two-region fleets); ``failed`` marks a
-    quarantined cell, whose metrics are NaN.
-    """
-
-    scenario: str
-    seed: int
-    sessions: int
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    freeze_ratio: float
-    mean_ssim: float
-    layer_switches: int
-    plis: int
-    region_a_p95_ms: float
-    region_b_p95_ms: float
-    failed: str | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload."""
-        return dataclasses.asdict(self)
-
-
-@dataclass
-class FleetReport:
-    """The scenario × seed grid plus the parameters that produced it."""
-
-    scenarios: tuple[str, ...]
-    seeds: tuple[int, ...]
-    subscribers: int
-    duration: float
-    cells: list[FleetCell]
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload."""
-        return {
-            "scenarios": list(self.scenarios),
-            "seeds": [int(s) for s in self.seeds],
-            "subscribers": int(self.subscribers),
-            "duration": float(self.duration),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-    def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, fixed cell order)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """Deterministic CSV, one row per cell."""
-        columns = [f.name for f in dataclasses.fields(FleetCell)]
-        lines = [",".join(columns)]
-        for cell in self.cells:
-            row = []
-            for name in columns:
-                value = getattr(cell, name)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def format_table(self) -> str:
-        """Aligned text table, one row per cell."""
-        header = (
-            f"{'scenario':<22} {'seed':>4} {'p50':>8} {'p95':>9} "
-            f"{'p99':>9} {'freeze':>7} {'ssim':>7} {'switch':>6} "
-            f"{'a.p95':>9} {'b.p95':>9}"
-        )
-        lines = [
-            f"fleet: {self.subscribers} subscribers x "
-            f"{self.duration:g}s per cell",
-            header,
-            "-" * len(header),
-        ]
-        for cell in self.cells:
-            if cell.failed is not None:
-                lines.append(
-                    f"{cell.scenario:<22} {cell.seed:>4} {cell.failed}"
-                )
-                continue
-            lines.append(
-                f"{cell.scenario:<22} {cell.seed:>4} "
-                f"{cell.p50_ms:>6.1f}ms {cell.p95_ms:>7.1f}ms "
-                f"{cell.p99_ms:>7.1f}ms {cell.freeze_ratio:>7.3f} "
-                f"{cell.mean_ssim:>7.4f} {cell.layer_switches:>6d} "
-                f"{cell.region_a_p95_ms:>7.1f}ms "
-                f"{cell.region_b_p95_ms:>7.1f}ms"
-            )
-        return "\n".join(lines)
-
-
-def render(report: FleetReport, fmt: str) -> str:
-    """Render the report in one of the CLI formats."""
-    if fmt == "json":
-        return report.to_json() + "\n"
-    if fmt == "csv":
-        return report.to_csv()
-    return report.format_table() + "\n"
+#: The metric fields of a cell's row, in column order (``None`` on a
+#: failed row): population latency percentiles, freeze ratio and SSIM,
+#: fleet-wide layer switches and PLIs, and the per-region p95 split
+#: (the canonical scenarios are all two-region fleets).
+METRICS = (
+    "sessions",
+    "p50_ms",
+    "p95_ms",
+    "p99_ms",
+    "freeze_ratio",
+    "mean_ssim",
+    "layer_switches",
+    "plis",
+    "region_a_p95_ms",
+    "region_b_p95_ms",
+)
 
 
 # ----------------------------------------------------------------------
-# Planning and assembly (the ``fleet`` grid's build and render halves)
+# Planning and folding
 # ----------------------------------------------------------------------
 def plan_batch(
     scenario_names: tuple[str, ...] = DEFAULT_SCENARIOS,
@@ -262,52 +167,36 @@ def rows_from_results(
     results: list,
     scenario_names: tuple[str, ...],
     seeds: tuple[int, ...],
-) -> list[FleetCell]:
-    """Fold a result list (in :func:`plan_batch` order) into cells."""
+) -> list[dict]:
+    """Fold a result list (in :func:`plan_batch` order) into one JSON
+    row per (scenario, seed) cell."""
     iterator = iter(results)
     nan = float("nan")
-    cells: list[FleetCell] = []
+    rows: list[dict] = []
     for name in scenario_names:
         for seed in seeds:
             result = next(iterator)
+            labels = {"scenario": name, "seed": seed}
             if isinstance(result, FailedSession):
-                cells.append(
-                    FleetCell(
-                        scenario=name,
-                        seed=seed,
-                        sessions=0,
-                        p50_ms=nan,
-                        p95_ms=nan,
-                        p99_ms=nan,
-                        freeze_ratio=nan,
-                        mean_ssim=nan,
-                        layer_switches=0,
-                        plis=0,
-                        region_a_p95_ms=nan,
-                        region_b_p95_ms=nan,
-                        failed=failure_label([result]),
-                    )
-                )
+                rows.append(failed_row(labels, METRICS, [result]))
                 continue
             assert isinstance(result, FleetResult)
             latency = result.population["latency_ms"]
-            cells.append(
-                FleetCell(
-                    scenario=name,
-                    seed=seed,
-                    sessions=result.subscribers,
-                    p50_ms=latency["p50"] if latency["p50"] is not None
-                    else nan,
-                    p95_ms=latency["p95"] if latency["p95"] is not None
-                    else nan,
-                    p99_ms=latency["p99"] if latency["p99"] is not None
-                    else nan,
-                    freeze_ratio=result.population["freeze_ratio"],
-                    mean_ssim=result.population["mean_ssim"],
-                    layer_switches=result.totals["layer_switches"],
-                    plis=result.totals["plis"],
-                    region_a_p95_ms=result.region_latency_ms("a") or nan,
-                    region_b_p95_ms=result.region_latency_ms("b") or nan,
-                )
-            )
-    return cells
+            rows.append({
+                **labels,
+                "sessions": result.subscribers,
+                "p50_ms": latency["p50"] if latency["p50"] is not None
+                else nan,
+                "p95_ms": latency["p95"] if latency["p95"] is not None
+                else nan,
+                "p99_ms": latency["p99"] if latency["p99"] is not None
+                else nan,
+                "freeze_ratio": result.population["freeze_ratio"],
+                "mean_ssim": result.population["mean_ssim"],
+                "layer_switches": result.totals["layer_switches"],
+                "plis": result.totals["plis"],
+                "region_a_p95_ms": result.region_latency_ms("a") or nan,
+                "region_b_p95_ms": result.region_latency_ms("b") or nan,
+                "failed": None,
+            })
+    return rows

@@ -10,16 +10,14 @@ reports how much the fault degraded the call:
   fresh frame reached the screen at near-baseline latency.
 
 Everything goes through :func:`~repro.pipeline.parallel.run_many`, so
-the grid caches, parallelizes, and stays bit-identical across workers.
-The report's JSON/CSV encodings are deterministic: same seeds + same
-grid = byte-identical output (enforced by the ``chaos-smoke`` CI job).
+the grid caches, parallelizes, and stays bit-identical across workers:
+same seeds + same grid = byte-identical rows in every format (enforced
+by the ``chaos-smoke`` CI job).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from ..errors import ConfigError
 from ..faults.spec import FaultKind, FaultSchedule, FaultSpec
 from ..pipeline.config import NetworkConfig, PolicyName, SessionConfig, VideoConfig
 from ..pipeline.results import SessionResult
-from ..pipeline.supervisor import failure_label, split_failures
+from ..pipeline.supervisor import split_failures
 from ..traces.bandwidth import BandwidthTrace
 from ..traces.content import ContentClass
 from ..units import mbps
@@ -147,41 +145,22 @@ DEFAULT_POLICIES = (PolicyName.ADAPTIVE, PolicyName.WEBRTC)
 # ----------------------------------------------------------------------
 # Degradation metrics
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RobustnessCell:
-    """Seed-averaged degradation of one (scenario, fault, policy) cell.
-
-    Attributes:
-        baseline_* / faulted_*: window metrics of the clean and faulted
-            runs; ``delta_* = faulted - baseline``.
-        recovery_s: mean time from fault-window close to the first
-            near-baseline displayed frame, over the (seed, fault-spec)
-            pairs that recovered; ``None`` when none did.
-        unrecovered: how many (seed, fault-spec) pairs never recovered
-            before the session ended.
-        failed: ``None`` on the normal path; under supervised execution
-            a quarantined session (clean or faulted) marks the cell —
-            metrics become NaN and ``failed`` carries the
-            ``FAILED(<reason>)`` marker in every output format.
-    """
-
-    scenario: str
-    fault: str
-    policy: str
-    baseline_p95_ms: float
-    faulted_p95_ms: float
-    delta_p95_ms: float
-    baseline_ssim: float
-    faulted_ssim: float
-    delta_ssim: float
-    delta_freeze: float
-    recovery_s: float | None
-    unrecovered: int
-    failed: str | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload."""
-        return dataclasses.asdict(self)
+#: The metric fields of a cell's row, in column order (``None`` on a
+#: failed row): the clean and faulted runs' window metrics, the
+#: ``delta_* = faulted - baseline`` changes, the mean recovery time
+#: over the (seed, fault-spec) pairs that recovered (``None`` when none
+#: did) and how many pairs never recovered before the session ended.
+METRICS = (
+    "baseline_p95_ms",
+    "faulted_p95_ms",
+    "delta_p95_ms",
+    "baseline_ssim",
+    "faulted_ssim",
+    "delta_ssim",
+    "delta_freeze",
+    "recovery_s",
+    "unrecovered",
+)
 
 
 def recovery_time(
@@ -210,89 +189,6 @@ def recovery_time(
 # ----------------------------------------------------------------------
 # The matrix
 # ----------------------------------------------------------------------
-@dataclass
-class RobustnessReport:
-    """The full grid plus the parameters that produced it."""
-
-    scenarios: tuple[str, ...]
-    faults: tuple[str, ...]
-    policies: tuple[str, ...]
-    seeds: tuple[int, ...]
-    duration: float
-    fault_at: float
-    measure_from: float
-    cells: list[RobustnessCell]
-
-    def to_dict(self) -> dict:
-        """JSON-ready payload."""
-        return {
-            "scenarios": list(self.scenarios),
-            "faults": list(self.faults),
-            "policies": list(self.policies),
-            "seeds": [int(s) for s in self.seeds],
-            "duration": float(self.duration),
-            "fault_at": float(self.fault_at),
-            "measure_from": float(self.measure_from),
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-    def to_json(self) -> str:
-        """Deterministic JSON (sorted keys, fixed cell order)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """Deterministic CSV, one row per cell."""
-        columns = [f.name for f in dataclasses.fields(RobustnessCell)]
-        lines = [",".join(columns)]
-        for cell in self.cells:
-            row = []
-            for name in columns:
-                value = getattr(cell, name)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def format_table(self) -> str:
-        """Aligned text table, grouped by scenario."""
-        header = (
-            f"{'fault':<22} {'policy':<10} {'Δp95':>9} {'ΔSSIM':>8} "
-            f"{'Δfreeze':>8} {'recovery':>9} {'unrec':>6}"
-        )
-        lines = []
-        for scenario in self.scenarios:
-            lines.append(f"scenario: {scenario}")
-            lines.append(header)
-            lines.append("-" * len(header))
-            for cell in self.cells:
-                if cell.scenario != scenario:
-                    continue
-                if cell.failed is not None:
-                    lines.append(
-                        f"{cell.fault:<22} {cell.policy:<10} "
-                        f"{cell.failed}"
-                    )
-                    continue
-                recovery = (
-                    "never" if cell.recovery_s is None
-                    else f"{cell.recovery_s:.2f}s"
-                )
-                lines.append(
-                    f"{cell.fault:<22} {cell.policy:<10} "
-                    f"{cell.delta_p95_ms:>+7.1f}ms "
-                    f"{cell.delta_ssim:>+8.4f} "
-                    f"{cell.delta_freeze:>+8.3f} "
-                    f"{recovery:>9} "
-                    f"{cell.unrecovered:>6d}"
-                )
-            lines.append("")
-        return "\n".join(lines).rstrip("\n")
-
-
 def validate_grid(
     scenario_names: tuple[str, ...],
     fault_names: tuple[str, ...],
@@ -338,7 +234,7 @@ def plan_batch(
 
     One flat batch in a fixed order — baseline then each fault, per
     (scenario, policy, seed) — so results can be folded back without
-    any side channel. :func:`report_from_results` consumes exactly this
+    any side channel. :func:`rows_from_results` consumes exactly this
     order; the shard fabric plans, caches, and merges over it.
     """
     suite = validate_grid(
@@ -360,25 +256,7 @@ def plan_batch(
     return batch
 
 
-def render(report: RobustnessReport, fmt: str) -> str:
-    """One format dispatch for the CLI *and* the shard-merge path.
-
-    The trailing-newline conventions live here so a merged shard
-    report and ``repro-rtc chaos`` output are the same bytes.
-
-    Raises:
-        ConfigError: on an unknown format.
-    """
-    if fmt == "json":
-        return report.to_json() + "\n"
-    if fmt == "csv":
-        return report.to_csv()
-    if fmt == "table":
-        return report.format_table() + "\n"
-    raise ConfigError(f"unknown chaos format {fmt!r}")
-
-
-def report_from_results(
+def rows_from_results(
     results_list,
     scenario_names: tuple[str, ...],
     fault_names: tuple[str, ...],
@@ -386,12 +264,13 @@ def report_from_results(
     seeds: tuple[int, ...],
     duration: float = DURATION,
     fault_at: float = FAULT_AT,
-) -> RobustnessReport:
-    """Fold a result list (in :func:`plan_batch` order) into the report.
+) -> list[dict]:
+    """Fold a result list (in :func:`plan_batch` order) into one JSON
+    row per (scenario, fault, policy) cell, seed-averaged.
 
-    Quarantined sessions (as
-    :class:`~repro.pipeline.supervisor.FailedSession`) poison only
-    their own cell, which renders a ``FAILED(...)`` marker.
+    A quarantined session (as
+    :class:`~repro.pipeline.supervisor.FailedSession`), clean or
+    faulted, makes only its own cells failed rows.
     """
     suite = validate_grid(
         scenario_names, fault_names, seeds, duration, fault_at
@@ -399,7 +278,7 @@ def report_from_results(
     results = iter(results_list)
 
     window = (MEASURE_FROM, duration)
-    cells: list[RobustnessCell] = []
+    rows: list[dict] = []
     for scenario in scenario_names:
         for policy in policies:
             per_fault: dict[str, dict[str, list[float]]] = {
@@ -456,66 +335,40 @@ def report_from_results(
                             unrecovered[fault] += 1
                         else:
                             bucket["recovery"].append(rec)
-            nan = float("nan")
-            if base_failures:
-                mean_base_p95 = mean_base_ssim = mean_base_freeze = nan
-            else:
+            for fault in fault_names:
+                labels = {
+                    "scenario": scenario,
+                    "fault": fault,
+                    "policy": policy.value,
+                }
+                broken = base_failures + fault_failures[fault]
+                if broken:
+                    rows.append(
+                        scenarios.failed_row(labels, METRICS, broken)
+                    )
+                    continue
                 mean_base_p95 = float(np.mean(base_p95))
                 mean_base_ssim = float(np.mean(base_ssim))
                 mean_base_freeze = float(np.mean(base_freeze))
-            for fault in fault_names:
-                broken = base_failures + fault_failures[fault]
-                if broken:
-                    cells.append(
-                        RobustnessCell(
-                            scenario=scenario,
-                            fault=fault,
-                            policy=policy.value,
-                            baseline_p95_ms=nan,
-                            faulted_p95_ms=nan,
-                            delta_p95_ms=nan,
-                            baseline_ssim=nan,
-                            faulted_ssim=nan,
-                            delta_ssim=nan,
-                            delta_freeze=nan,
-                            recovery_s=None,
-                            unrecovered=unrecovered[fault],
-                            failed=failure_label(broken),
-                        )
-                    )
-                    continue
                 bucket = per_fault[fault]
                 p95 = float(np.mean(bucket["p95"]))
                 ssim = float(np.mean(bucket["ssim"]))
                 freeze = float(np.mean(bucket["freeze"]))
-                cells.append(
-                    RobustnessCell(
-                        scenario=scenario,
-                        fault=fault,
-                        policy=policy.value,
-                        baseline_p95_ms=mean_base_p95 * 1e3,
-                        faulted_p95_ms=p95 * 1e3,
-                        delta_p95_ms=(p95 - mean_base_p95) * 1e3,
-                        baseline_ssim=mean_base_ssim,
-                        faulted_ssim=ssim,
-                        delta_ssim=ssim - mean_base_ssim,
-                        delta_freeze=freeze - mean_base_freeze,
-                        recovery_s=(
-                            float(np.mean(bucket["recovery"]))
-                            if bucket["recovery"]
-                            else None
-                        ),
-                        unrecovered=unrecovered[fault],
-                    )
-                )
-
-    return RobustnessReport(
-        scenarios=tuple(scenario_names),
-        faults=tuple(fault_names),
-        policies=tuple(p.value for p in policies),
-        seeds=tuple(seeds),
-        duration=duration,
-        fault_at=fault_at,
-        measure_from=MEASURE_FROM,
-        cells=cells,
-    )
+                rows.append({
+                    **labels,
+                    "baseline_p95_ms": mean_base_p95 * 1e3,
+                    "faulted_p95_ms": p95 * 1e3,
+                    "delta_p95_ms": (p95 - mean_base_p95) * 1e3,
+                    "baseline_ssim": mean_base_ssim,
+                    "faulted_ssim": ssim,
+                    "delta_ssim": ssim - mean_base_ssim,
+                    "delta_freeze": freeze - mean_base_freeze,
+                    "recovery_s": (
+                        float(np.mean(bucket["recovery"]))
+                        if bucket["recovery"]
+                        else None
+                    ),
+                    "unrecovered": unrecovered[fault],
+                    "failed": None,
+                })
+    return rows

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from ..core.config import AdaptiveConfig
 from ..pipeline.config import NetworkConfig, SessionConfig, VideoConfig
+from ..pipeline.supervisor import failure_label, split_failures
 from ..traces.content import ContentClass
 from ..traces.generators import drop_ratio_scenario, multi_drop
 from ..units import mbps, ms
@@ -108,7 +111,7 @@ def ratio_label(drop_ratio: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Variants: an experiment's batch as labelled config groups
+# Rows: an experiment's batch as labelled config groups, folded to JSON
 # ----------------------------------------------------------------------
 #: One labelled group of an experiment's configs, e.g. ``("kink only",
 #: [seed 1, seed 2, seed 3])``; most ablations and extensions are a
@@ -121,11 +124,49 @@ def batch_of(variants: list[Variant]) -> list:
     return [config for _label, configs in variants for config in configs]
 
 
-def fold_variants(results: list, variants: list[Variant], row) -> list:
-    """One ``row(label, results)`` per variant, over its slice of
-    ``results`` (which come in :func:`batch_of` order)."""
+def failed_row(labels: dict, metrics, failures: list) -> dict:
+    """The row of a group with a quarantined session, the one failed-row
+    rule of every artifact: the label fields, ``None`` for each name in
+    ``metrics``, and ``failed``, the ``FAILED(<reason>)`` marker."""
+    return {
+        **labels,
+        **dict.fromkeys(metrics),
+        "failed": failure_label(failures),
+    }
+
+
+def seed_mean(labels: dict, results: list, metrics: dict) -> dict:
+    """One JSON row: ``labels``, then each metric's mean over
+    ``results`` (one per seed), then ``failed: None``.
+
+    ``metrics`` maps a field name to a function of one result. A
+    quarantined session makes the row a :func:`failed_row`.
+    """
+    _ok, failures = split_failures(results)
+    if failures:
+        return failed_row(labels, metrics, failures)
+    return {
+        **labels,
+        **{
+            name: float(np.mean([metric(result) for result in results]))
+            for name, metric in metrics.items()
+        },
+        "failed": None,
+    }
+
+
+def fold_variants(
+    results: list, variants: list[Variant], metrics: dict, key="variant"
+) -> list[dict]:
+    """One :func:`seed_mean` row per variant, labelled ``{key: label}``,
+    over its slice of ``results`` (which come in :func:`batch_of`
+    order)."""
     rows, cursor = [], 0
     for label, configs in variants:
-        rows.append(row(label, results[cursor:cursor + len(configs)]))
+        rows.append(
+            seed_mean(
+                {key: label}, results[cursor:cursor + len(configs)], metrics
+            )
+        )
         cursor += len(configs)
     return rows

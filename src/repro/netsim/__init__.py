@@ -1,8 +1,8 @@
 """Network simulation substrate.
 
 Packets, bounded queues, loss models, the variable-capacity bottleneck
-:class:`Link`, multi-hop :class:`Path`, cross traffic, and the
-:class:`DuplexNetwork` an RTC session runs over.
+:class:`Link`, cross traffic, and the :class:`DuplexNetwork` an RTC
+session runs over.
 """
 
 from .crosstraffic import CbrCrossTraffic, PoissonCrossTraffic
@@ -10,7 +10,6 @@ from .link import Link, LinkStats, service_end_time
 from .loss import GilbertElliott, IidLoss, LossModel, NoLoss
 from .network import DuplexNetwork
 from .packet import Packet
-from .path import Path
 from .queue import DropTailQueue
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "LossModel",
     "NoLoss",
     "Packet",
-    "Path",
     "PoissonCrossTraffic",
     "service_end_time",
 ]

@@ -13,6 +13,7 @@ complete *and* decodable.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -75,6 +76,23 @@ class FrameRecord:
         return self.display_time - self.capture_time
 
 
+def owner_of(
+    frames: dict[int, FrameRecord], order: list[int], seq: int
+) -> FrameRecord | None:
+    """The frame whose packet range holds ``seq``, if it has a record.
+
+    ``order`` holds the keys of ``frames`` sorted by ``base_seq``.
+    Frames own disjoint sequence ranges, so only the last frame
+    starting at or below ``seq`` can hold it.
+    """
+    pos = bisect_right(order, seq, key=lambda index: frames[index].base_seq)
+    if pos:
+        record = frames[order[pos - 1]]
+        if seq <= record.end_seq:
+            return record
+    return None
+
+
 class FrameAssembler:
     """Reassembles frames and maintains the decode reference chain."""
 
@@ -82,6 +100,7 @@ class FrameAssembler:
         "_playout",
         "_telemetry",
         "_frames",
+        "_order",
         "_open",
         "_highest_seq",
         "_chain_intact",
@@ -103,6 +122,10 @@ class FrameAssembler:
         self._playout = playout
         self._telemetry = telemetry or NULL_TELEMETRY
         self._frames: dict[int, FrameRecord] = {}
+        # The frame indices sorted by base_seq, for :func:`owner_of`. An
+        # encoder stall releases frames out of index order, so that
+        # need not be index order.
+        self._order: list[int] = []
         # Incomplete, not-yet-lost records only: the per-packet loss scan
         # walks this instead of every frame ever seen.
         self._open: dict[int, FrameRecord] = {}
@@ -168,7 +191,7 @@ class FrameAssembler:
                         temporal_layer=layer,
                         base_seq=seq - packet.frame_packet_index,
                     )
-                    self._frames[index] = record
+                    self._insert(record)
                     open_frames[index] = record
                 # else: an older frame is still incomplete — the next
                 # packet may confirm its loss; slow path.
@@ -203,7 +226,7 @@ class FrameAssembler:
                 temporal_layer=layer,
                 base_seq=packet.seq - packet.frame_packet_index,
             )
-            self._frames[packet.frame_index] = record
+            self._insert(record)
             self._open[packet.frame_index] = record
         if packet.frame_packet_index in record.positions:
             return None  # duplicate
@@ -222,6 +245,16 @@ class FrameAssembler:
         return None
 
     # ------------------------------------------------------------------
+    def _insert(self, record: FrameRecord) -> None:
+        """File a new record, keeping ``_order`` sorted by ``base_seq``."""
+        frames = self._frames
+        frames[record.index] = record
+        order = self._order
+        if order and record.base_seq < frames[order[-1]].base_seq:
+            insort(order, record.index, key=lambda i: frames[i].base_seq)
+        else:
+            order.append(record.index)
+
     def _try_display(self, record: FrameRecord, now: float) -> FrameRecord | None:
         if record.frame_type == "I":
             self._chain_intact = True
@@ -277,7 +310,7 @@ class FrameAssembler:
         for seq in range(self._gap_scan_floor, highest + 1):
             if seq in self._received_seqs:
                 continue
-            if any(r.covers_seq(seq) for r in self._frames.values()):
+            if owner_of(self._frames, self._order, seq) is not None:
                 continue
             self._chain_intact = False
             self._request_pli(now)

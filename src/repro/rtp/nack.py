@@ -19,14 +19,14 @@ RTC stacks implement both.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigError, TransportError
 from ..netsim.packet import Packet
 from ..telemetry.recorder import NULL_TELEMETRY, Telemetry
-from .jitterbuffer import DECODE_DELAY, FrameRecord
+from .jitterbuffer import DECODE_DELAY, FrameRecord, owner_of
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,9 @@ class NackFrameAssembler:
     ) -> None:
         breaks_chain = False
         for seq in newly_lost:
-            owner = self._owner(seq)
+            # ``_order`` is index order, which is ``base_seq`` order
+            # unless an encoder stall released frames out of order.
+            owner = owner_of(self._frames, self._order, seq)
             # Losing a non-reference (T1) frame is recoverable without
             # a keyframe; anything else breaks the chain.
             if owner is None or owner.temporal_layer == 0:
@@ -425,24 +427,6 @@ class NackFrameAssembler:
         if breaks_chain:
             self._chain_intact = False
             self._request_pli(now)
-
-    def _owner(self, seq: int) -> FrameRecord | None:
-        """The frame whose packet range holds ``seq``, if it has a record.
-
-        Frames own disjoint sequence ranges, and ``base_seq`` rises with
-        the frame index, so ``_order`` is sorted by ``base_seq`` too: only
-        the last frame starting at or below ``seq`` can hold it.
-        """
-        frames = self._frames
-        order = self._order
-        pos = bisect_right(
-            order, seq, key=lambda index: frames[index].base_seq
-        )
-        if pos:
-            record = frames[order[pos - 1]]
-            if seq <= record.end_seq:
-                return record
-        return None
 
     def _request_pli(self, now: float) -> None:
         if self._send_pli is None:

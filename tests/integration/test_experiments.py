@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments import ablations, comparison, figures, table1
+from repro.experiments import ablations, artifacts, figures, table1
 from repro.experiments.scenarios import batch_of, fold_variants, ratio_label
 from repro.pipeline.parallel import run_many
 
@@ -20,7 +20,7 @@ def _table1_rows(ratios, seeds):
 
 def _ablation_rows(variants):
     return fold_variants(
-        run_many(batch_of(variants)), variants, ablations.averaged_row
+        run_many(batch_of(variants)), variants, ablations.METRICS
     )
 
 
@@ -33,8 +33,9 @@ def test_table1_row_shape():
 
 
 def test_table1_formatting():
-    rows = _table1_rows((0.3,), (1,))
-    text = table1.format_table(rows)
+    text = artifacts.render(
+        artifacts.produce("table1", ratios=[0.3], seeds=[1])
+    )
     assert "drop to 30%" in text
     assert "Table 1" in text
 
@@ -74,22 +75,22 @@ def test_figure4_reduction_grows_with_severity():
 
 def test_detector_ablation_rows():
     rows = _ablation_rows(ablations.detector_ablation(seeds=(1,)))
-    assert [r.variant for r in rows] == [
+    assert [r["variant"] for r in rows] == [
         "kink only", "overuse only", "pacer only", "fused (all)",
     ]
     fused = rows[-1]
-    assert all(r.mean_latency > 0 for r in rows)
+    assert all(r["mean_latency"] > 0 for r in rows)
     # Fusion is at least as good as the worst single signal.
-    assert fused.mean_latency <= max(r.mean_latency for r in rows[:3])
+    assert fused["mean_latency"] <= max(r["mean_latency"] for r in rows[:3])
 
 
 def test_strategy_ablation_rows():
     rows = _ablation_rows(ablations.strategy_ablation(seeds=(1,)))
-    by_name = {r.variant: r for r in rows}
+    by_name = {r["variant"]: r for r in rows}
     # Removing renormalize must hurt latency.
     assert (
-        by_name["no renormalize"].mean_latency
-        > by_name["+ skip (full)"].mean_latency
+        by_name["no renormalize"]["mean_latency"]
+        > by_name["+ skip (full)"]["mean_latency"]
     )
 
 
@@ -100,22 +101,21 @@ def test_rtt_sensitivity_rows():
     assert len(rows) == 2
     # Longer feedback loops cannot reduce latency below the short-RTT
     # case (weak monotonicity with slack for noise).
-    assert rows[1].mean_latency > 0.5 * rows[0].mean_latency
+    assert rows[1]["mean_latency"] > 0.5 * rows[0]["mean_latency"]
 
 
 def test_comparison_includes_all_policies():
-    batch = comparison.plan_batch(drop_ratio=0.2, seeds=(1,))
-    rows = comparison.rows_from_results(run_many(batch), seeds=(1,))
-    names = {r.policy for r in rows}
+    payload = artifacts.produce("comparison_severe", seeds=[1])
+    names = {r["policy"] for r in payload["rows"]}
     assert names == {
         "default_abr", "webrtc", "salsify", "adaptive", "oracle",
     }
-    by_name = {r.policy: r for r in rows}
+    by_name = {r["policy"]: r for r in payload["rows"]}
     assert (
-        by_name["adaptive"].mean_latency < by_name["webrtc"].mean_latency
+        by_name["adaptive"]["mean_latency"]
+        < by_name["webrtc"]["mean_latency"]
     )
-    text = comparison.format_comparison(rows, "title")
-    assert "adaptive" in text
+    assert "adaptive" in artifacts.render(payload)
 
 
 def test_ratio_label():

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.experiments import robustness
+from repro.experiments import artifacts, robustness
 from repro.faults import FaultKind, FaultSchedule, FaultSpec
 from repro.pipeline.config import (
     NetworkConfig,
@@ -116,55 +116,56 @@ def test_telemetry_does_not_change_faulted_outcomes():
 # ----------------------------------------------------------------------
 # The robustness matrix
 # ----------------------------------------------------------------------
-def _small_matrix(workers: int = 1):
+def _small_matrix(workers: int = 1) -> dict:
     from repro.pipeline.parallel import run_many
 
-    grid = dict(
-        scenario_names=("steady",),
-        fault_names=("feedback_blackout", "capacity_outage"),
-        policies=(PolicyName.ADAPTIVE,),
-        seeds=(1,),
-        duration=10.0,
-        fault_at=4.0,
+    params = artifacts.resolve(
+        "chaos",
+        {
+            "scenarios": ["steady"],
+            "faults": ["feedback_blackout", "capacity_outage"],
+            "policies": ["adaptive"],
+            "seeds": [1],
+            "duration": 10.0,
+            "fault_at": 4.0,
+        },
     )
-    batch = robustness.plan_batch(**grid)
+    batch = artifacts.ARTIFACTS["chaos"].plan(**params)
     results = run_many(batch, workers=workers, cache=None)
-    return robustness.report_from_results(results, **grid)
+    return artifacts.payload_of("chaos", params, batch, results)
 
 
 def test_matrix_report_byte_identical_across_runs_and_workers():
-    serial_a = _small_matrix().to_json()
-    serial_b = _small_matrix().to_json()
-    parallel = _small_matrix(workers=2).to_json()
+    serial_a = artifacts.render(_small_matrix(), "json")
+    serial_b = artifacts.render(_small_matrix(), "json")
+    parallel = artifacts.render(_small_matrix(workers=2), "json")
     assert serial_a == serial_b
     assert serial_a == parallel
 
 
 def test_matrix_report_shape_and_encodings():
-    report = _small_matrix()
-    assert [c.fault for c in report.cells] == [
+    payload = _small_matrix()
+    rows = payload["rows"]
+    assert [row["fault"] for row in rows] == [
         "feedback_blackout",
         "capacity_outage",
     ]
-    outage = report.cells[1]
-    assert outage.delta_p95_ms > 50.0
-    assert outage.delta_freeze > 0.0
-    assert outage.recovery_s is None or outage.recovery_s >= 0.0
-    payload = json.loads(report.to_json())
-    assert payload["scenarios"] == ["steady"]
-    assert len(payload["cells"]) == 2
-    csv = report.to_csv()
+    outage = rows[1]
+    assert outage["delta_p95_ms"] > 50.0
+    assert outage["delta_freeze"] > 0.0
+    assert outage["recovery_s"] is None or outage["recovery_s"] >= 0.0
+    assert json.loads(artifacts.render(payload, "json")) == payload
+    csv = artifacts.render(payload, "csv")
     lines = csv.strip().split("\n")
     assert lines[0].startswith("scenario,fault,policy,")
     assert len(lines) == 3
-    table = report.format_table()
+    table = artifacts.render(payload)
     assert "scenario: steady" in table
     assert "capacity_outage" in table
 
 
 def test_matrix_rejects_unknown_names():
     from repro.errors import ConfigError
-    from repro.experiments import artifacts
 
     with pytest.raises(ConfigError):
         artifacts.produce("chaos", scenarios=["nope"])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.experiments import artifacts
 from repro.experiments import fleet as fleet_experiment
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.fleet import FleetSession, two_region_fleet
@@ -121,18 +122,11 @@ def test_fleet_grid_shards_merge_byte_identical(tmp_path):
     batch = fleet_experiment.plan_batch(
         ("steady", "regional_degradation"), (1, 2), 6, 5.0
     )
-    results = run_many(batch, workers=1, cache=None)
+    payload = artifacts.payload_of(
+        "fleet", params, batch, run_many(batch, workers=1, cache=None)
+    )
     for fmt in ("table", "json", "csv"):
-        report = fleet_experiment.FleetReport(
-            scenarios=("steady", "regional_degradation"),
-            seeds=(1, 2),
-            subscribers=6,
-            duration=5.0,
-            cells=fleet_experiment.rows_from_results(
-                results, ("steady", "regional_degradation"), (1, 2)
-            ),
-        )
-        reference = fleet_experiment.render(report, fmt)
+        reference = artifacts.render(payload, fmt)
         merged_text, quarantined = shards.render_merged(
             plan, cache, manifest, fmt
         )

@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import table1
+from repro.experiments import artifacts, table1
 from repro.pipeline import shards
 from repro.pipeline.manifest import RunManifest, lease_state
 from repro.pipeline.parallel import run_many
@@ -30,9 +30,11 @@ GRID = {"ratios": [0.3, 0.2], "seeds": [1, 2]}
 
 
 def _serial_reference(fmt: str) -> str:
-    batch, spans = table1.plan_batch(ratios=(0.3, 0.2), seeds=(1, 2))
+    batch, _spans = table1.plan_batch(ratios=(0.3, 0.2), seeds=(1, 2))
     results = run_many(batch, workers=1, cache=None)
-    return table1.render(table1.rows_from_results(results, spans), fmt)
+    return artifacts.render(
+        artifacts.payload_of("table1", GRID, batch, results), fmt
+    )
 
 
 def _run_and_merge(plan, tmp_path, indices=None):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import signal
 import subprocess
@@ -307,14 +306,54 @@ def test_cli_partial_failure_renders_markers_and_exit_code(
     )
 
 
+#: The label fields of each artifact's rows in the failed-row test
+#: (``variant`` where not listed).
+_LABELS = {
+    "table1": ("drop_ratio", "label"),
+    "comparison_mild": ("policy",),
+    "extension_i_audio": ("policy",),
+    "extension_j_fairness": ("pairing",),
+    "chaos": ("scenario", "fault", "policy"),
+    "fleet": ("scenario", "seed"),
+}
+
+#: Small params for the non-extension artifacts of the failed-row test
+#: (each extension runs on seed 1).
+_SMALL_PARAMS = {
+    "table1": {"ratios": [0.3, 0.2], "seeds": [1]},
+    "ablation_a_detector": {"seeds": [1]},
+    "comparison_mild": {"seeds": [1]},
+    "chaos": {
+        "scenarios": ["steady"],
+        "faults": ["feedback_blackout", "capacity_outage"],
+        "policies": ["adaptive"],
+        "seeds": [1],
+        "duration": 10.0,
+        "fault_at": 4.0,
+    },
+    "fleet": {
+        "scenarios": ["steady", "churn"],
+        "subscribers": 4,
+        "duration": 3.0,
+    },
+}
+
+
 @pytest.mark.parametrize(
-    "name", [name for name in ARTIFACTS if name.startswith("extension_")]
+    "name",
+    [
+        *_SMALL_PARAMS,
+        *(name for name in ARTIFACTS if name.startswith("extension_")),
+    ],
 )
 def test_extension_folds_a_quarantined_session_into_a_failed_row(
     name, monkeypatch, tmp_path
 ):
-    params = artifacts.resolve(name, {"seeds": [1]})
-    target = config_hash(ARTIFACTS[name].plan(**params)[0])
+    # The one failed-row rule: the row of the quarantined (last) cell
+    # keeps its labels, holds None for every metric and carries the
+    # marker; every other row carries failed=None.
+    params = artifacts.resolve(name, _SMALL_PARAMS.get(name, {"seeds": [1]}))
+    target = config_hash(ARTIFACTS[name].plan(**params)[-1])
     _chaos(
         monkeypatch,
         tmp_path,
@@ -324,21 +363,64 @@ def test_extension_folds_a_quarantined_session_into_a_failed_row(
     monkeypatch.setattr(context, "workers", 2)
     monkeypatch.setattr(context, "cache", None)
     monkeypatch.setattr(context, "supervisor", _plan(max_retries=0))
-    payload = artifacts.produce(name, seeds=[1])
-    failed, *others = payload["rows"]
-    assert failed["failed"].startswith("FAILED(SimulationError")
-    metrics = [v for v in failed.values() if isinstance(v, float)]
-    assert metrics and all(math.isnan(v) for v in metrics)
-    assert all("failed" not in row for row in others)
-    # Printed like an ablation's failed row: the label, then the marker.
-    label = next(iter(v for v in failed.values() if isinstance(v, str)))
+    payload = artifacts.produce(name, **params)
+    *others, failed = payload["rows"]
+    marker = failed["failed"]
+    assert marker.startswith("FAILED(SimulationError")
+    assert others and all(row["failed"] is None for row in others)
+    assert list(failed) == list(others[0])
+    labels = _LABELS.get(name, ("variant",))
+    assert [key for key, value in failed.items() if value is not None] == [
+        *labels, "failed"
+    ]
+    metrics = len(failed) - len(labels) - 1
+    assert metrics > 0
+    # The table shows the row's labels, then the marker.
     [line] = [
         line
         for line in artifacts.render(payload).splitlines()
         if "FAILED(" in line
     ]
-    assert line.startswith(label)
-    assert line.endswith(failed["failed"])
+    assert line.endswith(marker)
+    shown = line[: -len(marker)]
+    for key in labels:
+        shown = shown.replace(str(failed[key]), "", 1)
+    assert shown.strip() == ""
+    # In CSV every null metric is an empty cell.
+    cells = [
+        repr(failed[key]) if isinstance(failed[key], float)
+        else str(failed[key])
+        for key in labels
+    ]
+    assert artifacts.render(payload, "csv").splitlines()[-1] == ",".join(
+        [*cells, *[""] * metrics, marker]
+    )
+
+
+def test_figure_prints_the_marker_of_a_quarantined_series(
+    monkeypatch, tmp_path
+):
+    params = artifacts.resolve("figure2", {})
+    target = config_hash(ARTIFACTS["figure2"].plan(**params)[-1])
+    _chaos(
+        monkeypatch,
+        tmp_path,
+        [{"action": "raise-deterministic", "match": target, "times": -1}],
+    )
+    context = configure()
+    monkeypatch.setattr(context, "workers", 2)
+    monkeypatch.setattr(context, "cache", None)
+    monkeypatch.setattr(context, "supervisor", _plan(max_retries=0))
+    payload = artifacts.produce("figure2")
+    baseline, adaptive = payload["rows"]
+    assert baseline["failed"] is None and baseline["x"]
+    assert adaptive["failed"].startswith("FAILED(SimulationError")
+    assert adaptive["x"] == adaptive["y"] == []
+    # The empty series' block ends in its marker.
+    header = f"{'x':>12} {'y':>14}"
+    assert artifacts.render(payload).endswith(
+        f"adaptive\n{header}\n{adaptive['failed']}\n"
+    )
 
 
 # ----------------------------------------------------------------------

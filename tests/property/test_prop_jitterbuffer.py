@@ -1,14 +1,17 @@
-"""Property test: ``FrameAssembler.on_packet``'s in-order shortcut is
-observationally identical to the general insert path.
+"""Property tests: ``FrameAssembler``'s shortcuts are observationally
+identical to the plain algorithm.
 
 ``on_packet`` skips ``_detect_losses`` when a packet is exactly in order
 (``seq == highest + 1``), the reference chain is intact and no other
-frame is still open, applying only the scan-floor update. Random media
-arrival streams — random frame sizes, keyframe cadence, T1 frames,
-channel losses (sequence gaps), local reorders and duplicates — are
-replayed through the real assembler and through a subclass whose
-``on_packet`` always takes the general path. Frame records, per-packet
-return values, PLI emissions and telemetry must match exactly.
+frame is still open, applying only the scan-floor update; and
+``_detect_losses`` finds the owner of an unreceived sequence by
+bisection (:func:`~repro.rtp.jitterbuffer.owner_of`) instead of
+scanning every frame. Random media arrival streams — random frame
+sizes, keyframe cadence, T1 frames, channel losses (sequence gaps),
+local reorders and duplicates — are replayed through the real
+assembler and through a subclass without the shortcut. Frame records,
+per-packet return values, PLI emissions and telemetry must match
+exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class _GeneralPathAssembler(FrameAssembler):
                 temporal_layer=payload.get("temporal_layer", 0),
                 base_seq=packet.seq - packet.frame_packet_index,
             )
-            self._frames[packet.frame_index] = record
+            self._insert(record)
             self._open[packet.frame_index] = record
         if packet.frame_packet_index in record.positions:
             return None
@@ -54,20 +57,48 @@ class _GeneralPathAssembler(FrameAssembler):
         return None
 
 
+class _LinearScanAssembler(FrameAssembler):
+    """``_detect_losses`` scanning every frame record for the owner of
+    each unreceived sequence."""
+
+    def _detect_losses(self, now: float) -> None:
+        highest = self._highest_seq
+        for record in list(self._open.values()):
+            if highest > record.end_seq:
+                record.lost = True
+                del self._open[record.index]
+                if record.temporal_layer == 0:
+                    self._chain_intact = False
+                    self._request_pli(now)
+        for seq in range(self._gap_scan_floor, highest + 1):
+            if seq in self._received_seqs:
+                continue
+            if any(r.covers_seq(seq) for r in self._frames.values()):
+                continue
+            self._chain_intact = False
+            self._request_pli(now)
+        self._gap_scan_floor = highest + 1
+
+
 @st.composite
-def arrival_streams(draw):
+def arrival_streams(draw, stalls=False):
     """(arriving packets, arrival times) for one random stream.
 
     Packets carry real frame structure (index/position/count, a
     keyframe cadence, T1 frames); the arrival order suffers random
     drops, local reorders, and duplicates, and arrival times are
-    non-decreasing with random inter-arrival gaps.
+    non-decreasing with random inter-arrival gaps. With ``stalls``
+    the frames take their sequence numbers in a random order, as an
+    encoder stall releases a burst of frames out of index order.
     """
     n_frames = draw(st.integers(min_value=2, max_value=10))
     keyframe_every = draw(st.integers(min_value=2, max_value=5))
     packets: list[Packet] = []
     seq = 0
-    for index in range(n_frames):
+    indices = range(n_frames)
+    if stalls:
+        indices = draw(st.permutations(indices))
+    for index in indices:
         count = draw(st.integers(min_value=1, max_value=4))
         frame_type = "I" if index % keyframe_every == 0 else "P"
         layer = draw(st.sampled_from([0, 0, 0, 1]))
@@ -154,6 +185,41 @@ def _frame_states(assembler: FrameAssembler):
         )
         for record in assembler.frames()
     ]
+
+
+def _replay(cls, arriving, times) -> dict:
+    """Everything observable of ``cls`` after the stream."""
+    telemetry = Telemetry()
+    pli_times: list[float] = []
+    clock = [0.0]
+    assembler = cls(
+        send_pli=lambda log=pli_times, at=clock: log.append(at[0]),
+        pli_min_interval=0.05,
+        telemetry=telemetry,
+    )
+    displayed = []
+    for packet, now in zip(arriving, times):
+        clock[0] = now
+        record = assembler.on_packet(packet, now)
+        displayed.append(None if record is None else record.index)
+    return {
+        "frames": _frame_states(assembler),
+        "displayed": displayed,
+        "highest_seq": assembler._highest_seq,
+        "chain_intact": assembler.chain_intact,
+        "pli_sent": assembler.pli_sent,
+        "pli_times": pli_times,
+        "telemetry": telemetry.to_dict(),
+    }
+
+
+@given(stream=arrival_streams(stalls=True))
+@settings(max_examples=150, deadline=None)
+def test_owner_bisection_matches_linear_scan(stream):
+    arriving, times = stream
+    assert _replay(FrameAssembler, arriving, times) == _replay(
+        _LinearScanAssembler, arriving, times
+    )
 
 
 @given(stream=arrival_streams())

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import ARTIFACTS, artifacts
 from repro.experiments.scenarios import TABLE1_DROP_RATIOS
 from repro.pipeline.parallel import CACHE_SCHEMA_VERSION, config_hash
@@ -67,6 +68,34 @@ def test_committed_json_renders_the_committed_text(name):
         json.dumps(ARTIFACTS[name].params)
     )
     assert artifacts.render(payload) == _text(name, ".txt")
+    # The json format is the payload itself, byte for byte.
+    assert artifacts.render(payload, "json") == _text(name, ".json")
+
+
+#: Artifacts whose rows nest lists (a figure's x/y) or objects (a
+#: paired ablation's baseline and adaptive rows).
+NESTED = ("figure1", "figure2", "figure3", "figure4",
+          "ablation_d_queue_depth", "ablation_d_content")
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in ARTIFACTS if name not in NESTED]
+)
+def test_flat_rows_render_csv_under_their_keys(name):
+    payload = json.loads(_text(name, ".json"))
+    rows = payload["rows"]
+    header, *lines = artifacts.render(payload, "csv").splitlines()
+    assert header == ",".join(rows[0])
+    assert len(lines) == len(rows)
+    # The one failed-row rule: every row carries ``failed``.
+    assert all(row["failed"] is None for row in rows)
+
+
+@pytest.mark.parametrize("name", ["figure4", "ablation_d_content"])
+def test_nested_rows_refuse_csv(name):
+    payload = json.loads(_text(name, ".json"))
+    with pytest.raises(ConfigError, match="cannot render 'csv'"):
+        artifacts.render(payload, "csv")
 
 
 @pytest.mark.parametrize("name", list(ARTIFACTS))

@@ -164,9 +164,10 @@ def test_chaos_quick_writes_json_report(tmp_path, capsys):
     import json
 
     payload = json.loads(out_path.read_text())
-    assert payload["scenarios"] == ["steady"]
-    assert payload["policies"] == ["adaptive"]
-    assert len(payload["cells"]) == 2
+    assert payload["artifact"] == "chaos"
+    assert payload["params"]["scenarios"] == ["steady"]
+    assert payload["params"]["policies"] == ["adaptive"]
+    assert len(payload["rows"]) == 2
     assert "wrote 2 cells" in capsys.readouterr().err
 
 

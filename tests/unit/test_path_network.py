@@ -1,4 +1,4 @@
-"""Multi-hop paths, cross traffic, and the duplex network."""
+"""Cross traffic and the duplex network."""
 
 from __future__ import annotations
 
@@ -8,54 +8,7 @@ from repro.errors import ConfigError
 from repro.netsim.crosstraffic import CbrCrossTraffic, PoissonCrossTraffic
 from repro.netsim.network import DuplexNetwork
 from repro.netsim.packet import Packet
-from repro.netsim.path import Path
-from repro.traces.bandwidth import BandwidthTrace
 from repro.units import mbps
-
-
-def _hop(rate_bps, delay=0.01, queue=100_000):
-    return {
-        "capacity": BandwidthTrace.constant(rate_bps),
-        "propagation_delay": delay,
-        "queue_bytes": queue,
-    }
-
-
-def test_path_traverses_hops_in_order(scheduler):
-    delivered = []
-    path = Path(
-        scheduler,
-        [_hop(mbps(10)), _hop(mbps(10))],
-        delivered.append,
-    )
-    packet = Packet(size_bytes=1250)  # 1 ms per hop at 10 Mbps
-    path.send(packet)
-    scheduler.run_until(1.0)
-    # 2 × (1 ms serialize + 10 ms propagate) = 22 ms.
-    assert delivered[0].arrival_time == pytest.approx(0.022)
-
-
-def test_path_total_propagation(scheduler):
-    path = Path(
-        scheduler,
-        [_hop(mbps(1), delay=0.01), _hop(mbps(1), delay=0.03)],
-        lambda p: None,
-    )
-    assert path.total_propagation() == pytest.approx(0.04)
-
-
-def test_path_bottleneck_is_slowest_hop(scheduler):
-    path = Path(
-        scheduler,
-        [_hop(mbps(10)), _hop(mbps(1)), _hop(mbps(5))],
-        lambda p: None,
-    )
-    assert path.bottleneck().current_rate() == mbps(1)
-
-
-def test_empty_path_rejected(scheduler):
-    with pytest.raises(ConfigError):
-        Path(scheduler, [], lambda p: None)
 
 
 def test_cbr_cross_traffic_rate(scheduler, flat_trace):

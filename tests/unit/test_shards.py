@@ -392,10 +392,11 @@ def test_quarantined_cells_survive_merge_as_failed_markers(tmp_path):
 
 
 def test_render_rejects_format_the_grid_cannot_produce(tmp_path):
-    plan = build_plan("comparison_severe", TINY_COMPARISON, 2)
+    # A figure's rows hold its x/y lists: table and json, but no csv.
+    plan = build_plan("figure2", {}, 2)
     dirs = _run_all_shards(plan, tmp_path / "shards")
     cache, manifest, _summary = shards.merge_shards(
         plan, dirs, tmp_path / "merged"
     )
     with pytest.raises(ConfigError, match="cannot render"):
-        shards.render_merged(plan, cache, manifest, "json")
+        shards.render_merged(plan, cache, manifest, "csv")

@@ -2,8 +2,8 @@
 """Golden-metrics regression gate for the Table-1 reproduction.
 
 Regenerates the headline comparison rows (baseline vs adaptive latency
-and SSIM per drop severity) with fixed seeds and compares them against
-the committed ``golden_metrics.json``. The simulator is deterministic,
+and SSIM per drop severity) as the ``table1`` artifact with fixed seeds
+and compares them against the committed ``golden_metrics.json``. The simulator is deterministic,
 so any drift beyond a small float tolerance means a code change moved
 the reproduced numbers — the gate fails and prints a per-row diff.
 
@@ -38,9 +38,9 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro.experiments import scenarios, table1  # noqa: E402
+from repro.experiments import artifacts, scenarios  # noqa: E402
 from repro.pipeline.config import PolicyName  # noqa: E402
-from repro.pipeline.parallel import configure, run_many  # noqa: E402
+from repro.pipeline.parallel import configure  # noqa: E402
 from repro.pipeline.session import RtcSession  # noqa: E402
 from repro.telemetry import export_text  # noqa: E402
 
@@ -64,25 +64,12 @@ TOLERANCES = (
 )
 
 
-def regenerate(seeds: tuple[int, ...]) -> list[table1.Table1Row]:
-    """Fresh Table-1 rows for the pinned seeds."""
-    batch, spans = table1.plan_batch(seeds=seeds)
-    return table1.rows_from_results(run_many(batch), spans)
-
-
-def rows_to_metrics(rows: list[table1.Table1Row]) -> dict:
-    """Rows as the JSON structure stored in the golden file."""
-    return {
-        "seeds": list(GOLDEN_SEEDS),
-        "rows": [dataclasses.asdict(row) for row in rows],
-    }
-
-
 def compare(golden: dict, fresh: dict, scale: float = 1.0) -> list[str]:
     """Differences between golden and fresh metrics beyond tolerance.
 
     Args:
-        golden: previously pinned metrics (``rows_to_metrics`` shape).
+        golden: previously pinned metrics: the ``seeds`` and the
+            ``table1`` artifact's ``rows``.
         fresh: regenerated metrics.
         scale: multiply every tolerance (CLI ``--tolerance-scale``).
 
@@ -185,13 +172,18 @@ def main(argv: list[str] | None = None) -> int:
     # written by some other checkout.
     configure(workers=max(1, args.workers), cache=None)
 
-    rows = regenerate(GOLDEN_SEEDS)
-    fresh = rows_to_metrics(rows)
+    payload = artifacts.produce("table1", seeds=list(GOLDEN_SEEDS))
+    # The gate pins metrics; a row's ``failed`` marker is not one.
+    fresh = {
+        "seeds": payload["params"]["seeds"],
+        "rows": [
+            {key: value for key, value in row.items() if key != "failed"}
+            for row in payload["rows"]
+        ],
+    }
 
     if args.table_out is not None:
-        args.table_out.write_text(
-            table1.format_table(rows) + "\n", encoding="utf-8"
-        )
+        args.table_out.write_text(artifacts.render(payload), encoding="utf-8")
         print(f"wrote {args.table_out}")
     if args.trace_out is not None:
         _write_trace(args.trace_out)

@@ -143,7 +143,7 @@ class Harness:
         )
         reference = {
             fmt: artifacts.render(payload, fmt)
-            for fmt in artifacts.ARTIFACTS[plan.kind].formats
+            for fmt in artifacts.FORMATS
         }
 
         victim = max(
