@@ -1,10 +1,10 @@
 """Congestion control / bandwidth estimation.
 
-:class:`GoogCcController` is the realistic estimator (GCC); the fixed and
-oracle controllers bound the comparison from below and above.
+:class:`GoogCcController` is the realistic estimator (GCC);
+:class:`OracleController` knows the true capacity and bounds the
+comparison from above.
 """
 
-from .fixed import FixedRateController
 from .gcc import (
     AimdRateControl,
     BandwidthUsage,
@@ -21,7 +21,6 @@ __all__ = [
     "AimdRateControl",
     "BandwidthUsage",
     "CongestionController",
-    "FixedRateController",
     "GoogCcController",
     "LossBasedEstimator",
     "OracleController",

@@ -2,48 +2,39 @@
 
 Subcommands:
 
-* ``run`` — one session (policy, drop ratio, duration, seed) with a
-  summary printout.
-* ``table1`` — regenerate the headline table.
+* ``run`` — one session (policy, drop ratio, duration, seed): its
+  session report (frames, latency and its episodes, quality, drop
+  events, congestion-control target), then its drop-window latency and,
+  on a fresh run, the simulator's wall time.
 * ``experiments`` — print the evaluation's artifacts (Table 1, the
   figures, ablations, comparisons, extensions, the chaos matrix and
-  the fleet report), or write each as ``<name>.json`` plus the
-  ``<name>.txt`` rendered from it (see
-  :mod:`repro.experiments.artifacts`).
+  the fleet report) as a table, JSON or CSV, or write each as
+  ``<name>.json`` plus the ``<name>.txt`` rendered from it (see
+  :mod:`repro.experiments.artifacts`). Param flags (``--seeds``,
+  ``--ratio``, ``--scenario`` ...) override an artifact's own params.
 * ``trace`` — run one telemetry-enabled session and export its probe
   series as JSONL or CSV (see ``docs/telemetry.md``).
 * ``profile`` — run one pinned session under cProfile and print the
   top-N hotspots as text or JSON (see ``docs/running-fast.md``).
-* ``chaos`` — run the fault-injection robustness matrix and export the
-  degradation report as a table, JSON, or CSV (see
-  ``docs/robustness.md``).
-* ``fleet`` — run city-scale SFU fleet population scenarios (churn,
-  flash crowds, regional degradation) and export the population QoE
-  report (see ``docs/fleet.md``).
 * ``resume`` — replay an interrupted supervised batch from its run
   manifest; finished cells come from the result cache.
 * ``shard`` — the distributed sweep fabric (see
   ``docs/running-fast.md``): ``shard plan`` partitions any artifact's
-  batch into K deterministic shards, ``shard run`` executes one shard
-  anywhere with the supervised executor (per-shard manifest + cache +
-  heartbeat lease; a re-run, or ``repro-rtc resume``, finishes a dead
-  shard and refuses one whose lease is live), ``shard status`` reports
-  per-shard progress and lease health, and ``shard merge`` folds shard
-  outputs into one report byte-identical to a single-host serial run.
+  batch into K deterministic shards, with the same param flags as
+  ``experiments``; ``shard run`` executes one shard anywhere with the
+  supervised executor (per-shard manifest + cache + heartbeat lease; a
+  re-run, or ``repro-rtc resume``, finishes a dead shard and refuses
+  one whose lease is live), ``shard status`` reports per-shard progress
+  and lease health, and ``shard merge`` folds shard outputs into one
+  report byte-identical to ``experiments`` on one host.
 * ``cache`` — inspect or clear the persistent result cache.
 
-``table1``, ``chaos`` and ``fleet`` print the artifacts of the same
-names with flags for their params: each runs its
-:data:`~repro.experiments.ARTIFACTS` entry through
-:func:`~repro.experiments.artifacts.produce`, the same entry ``shard
-plan`` partitions, so both routes print the same bytes.
-
 Global execution options (before the subcommand): ``--workers N`` fans
-the experiment's sessions out over N processes; results are reused from
-the persistent cache unless ``--no-cache`` is given. Parallel and cached
+the batch's sessions out over N processes; results are reused from the
+persistent cache unless ``--no-cache`` is given. Parallel and cached
 results are bit-identical to serial fresh runs.
 
-Supervision options (on ``run``/``table1``/``chaos``/``fleet``):
+Supervision options (on ``run``/``experiments``/``shard run``):
 ``--session-timeout``, ``--max-retries``, and ``--manifest`` enable the
 supervised executor — per-session wall-clock timeouts, bounded retries,
 worker-crash recovery, quarantine with ``FAILED(...)`` markers, and a
@@ -59,6 +50,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .analysis import session_report
 from .errors import (
     EXIT_INTERRUPT,
     EXIT_OK,
@@ -68,7 +60,7 @@ from .errors import (
     ReproError,
 )
 from .experiments import artifacts, fleet, robustness, scenarios
-from .pipeline.config import PolicyName
+from .pipeline.config import PolicyName, SessionConfig
 from .pipeline.manifest import (
     RunManifest,
     find_manifest,
@@ -77,7 +69,6 @@ from .pipeline.manifest import (
 )
 from .pipeline import shards
 from .pipeline.parallel import ResultCache, configure, run_many
-from .pipeline.runner import run_session
 from .pipeline.supervisor import (
     FailedSession,
     SupervisorPlan,
@@ -86,59 +77,53 @@ from .pipeline.supervisor import (
 from .telemetry import export_text
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _session_config(args: argparse.Namespace, **fields) -> SessionConfig:
+    """The step-drop session the session flags ask for, with ``fields``
+    set on top."""
     config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
+    return dataclasses.replace(
         config,
         policy=PolicyName(args.policy),
         duration=args.duration,
+        **fields,
     )
-    [result] = run_many([config])
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    [result] = run_many(
+        [_session_config(args, enable_nack=args.nack, enable_audio=args.audio)]
+    )
     if isinstance(result, FailedSession):
         print(f"policy            : {args.policy}")
         print(f"result            : {result.marker}")
-        return 0
+        return EXIT_OK
+    print(session_report(result))
+    if args.audio:
+        print()
+        print(f"audio mean latency : "
+              f"{result.mean_audio_latency() * 1e3:.1f} ms")
+        print(f"audio loss         : {result.audio_loss_fraction():.3%}")
+    tail = []
     start, end = scenarios.DROP_WINDOW
-    print(f"policy            : {result.policy}")
-    print(f"frames            : {len(result.frames)}")
-    print(f"mean latency      : {result.mean_latency() * 1e3:.1f} ms")
     if end <= args.duration:
-        print(
+        tail.append(
             f"drop-window mean  : {result.mean_latency(start, end) * 1e3:.1f} ms"
         )
-        print(
+        tail.append(
             f"drop-window p95   : "
             f"{result.percentile_latency(95, start, end) * 1e3:.1f} ms"
         )
-    print(f"displayed SSIM    : {result.mean_displayed_ssim():.4f}")
-    print(f"freeze fraction   : {result.freeze_fraction():.3f}")
-    print(f"PLI count         : {result.pli_count}")
-    if result.perf is not None:
-        print(
+    if result.perf is not None:  # a fresh run; a cached result has none
+        tail.append(
             f"perf              : {result.perf.wall_seconds:.3f} s wall, "
             f"{result.perf.events_fired} events "
             f"({result.perf.events_per_sec:,.0f}/s)"
         )
-    return 0
+    if tail:
+        print()
+        print("\n".join(tail))
+    return EXIT_OK
 
-
-#: Artifact params that a subcommand's ``--quick`` pins; they win over
-#: the matching flags.
-_QUICK = {
-    "chaos": {
-        "scenarios": ["steady"],
-        "faults": ["feedback_blackout", "capacity_outage"],
-        "policies": ["adaptive"],
-        "seeds": [1],
-        "duration": 14.0,
-    },
-    "fleet": {
-        "scenarios": ["steady", "regional_degradation"],
-        "seeds": [1],
-        "subscribers": 20,
-        "duration": 8.0,
-    },
-}
 
 #: Flags (argparse dests) that are artifact params under the same name.
 _PARAM_FLAGS = (
@@ -152,18 +137,15 @@ def _params(args: argparse.Namespace) -> dict:
 
     Param flags default to ``None`` and are left out when unset, so each
     :data:`~repro.experiments.ARTIFACTS` entry is the one place its
-    defaults live. ``--seeds N`` means seeds ``1..N``; ``--quick``
-    applies a preset.
+    defaults live. ``--seeds N`` means seeds ``1..N``.
     """
     params = {
         key: getattr(args, key)
         for key in _PARAM_FLAGS
-        if getattr(args, key, None) is not None
+        if getattr(args, key) is not None
     }
-    if getattr(args, "seeds", None) is not None:
+    if args.seeds is not None:
         params["seeds"] = list(range(1, args.seeds + 1))
-    if getattr(args, "quick", False):
-        params.update(_QUICK[args.grid])
     return params
 
 
@@ -182,81 +164,52 @@ def _write_output(text: str, output: str | None, what: str | None) -> None:
         print(f"wrote {what} to {output}", file=sys.stderr)
 
 
-#: What the rows of an artifact subcommand's report are, for its ``-o``
-#: note.
-_ROW_NOUNS = {"table1": "rows", "chaos": "cells", "fleet": "fleet cells"}
-
-
-def _cmd_artifact(args: argparse.Namespace) -> int:
-    """Produce the artifact ``args.grid`` and write it in ``args.format``.
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """Print the named artifacts (default: all) in ``--format``,
+    blank-line separated, or write each one's ``.json`` and ``.txt``
+    under ``--out``.
 
     A quarantined cell does not change the return code here: ``main``
     turns the supervision plan's quarantine count into
     ``EXIT_PARTIAL``.
-    """
-    payload = artifacts.produce(args.grid, **_params(args))
-    _write_output(
-        artifacts.render(payload, args.format),
-        args.output,
-        f"{len(payload['rows'])} {_ROW_NOUNS[args.grid]}",
-    )
-    return EXIT_OK
-
-
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    """Print the named artifacts (default: all), blank-line separated,
-    or write each one's ``.json`` and ``.txt`` under ``--out``.
 
     Raises:
-        ConfigError: an unknown name (before anything runs).
+        ConfigError: an unknown name, a param flag a named artifact does
+            not take, or ``--out`` with ``--format``/``-o`` (all before
+            anything runs).
     """
-    unknown = [name for name in args.names if name not in artifacts.ARTIFACTS]
-    if unknown:
+    if args.out is not None and (
+        args.format != "table" or args.output is not None
+    ):
         raise ConfigError(
-            f"unknown artifact(s) {', '.join(unknown)} (available: "
-            f"{', '.join(artifacts.ARTIFACTS)})"
+            "--out writes NAME.json and NAME.txt; it takes no --format or -o"
         )
-    for index, name in enumerate(args.names or artifacts.ARTIFACTS):
+    names = args.names or list(artifacts.ARTIFACTS)
+    given = _params(args)
+    params = {name: artifacts.resolve(name, given) for name in names}
+    payloads = []
+    for name in names:
+        payload = artifacts.produce(name, **params[name])
         if args.out is not None:
-            json_path, txt_path = artifacts.write(name, args.out)
+            json_path, txt_path = artifacts.write(payload, args.out)
             print(f"wrote {json_path} and {txt_path}", file=sys.stderr)
-            continue
-        if index:
-            sys.stdout.write("\n")
-        sys.stdout.write(artifacts.render(artifacts.produce(name)))
+        payloads.append(payload)
+    if args.out is None:
+        _write_output(
+            "\n".join(
+                artifacts.render(payload, args.format) for payload in payloads
+            ),
+            args.output,
+            ", ".join(
+                f"{payload['artifact']} ({len(payload['rows'])} rows)"
+                for payload in payloads
+            ),
+        )
     return EXIT_OK
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import session_report
-
-    config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
-        config,
-        policy=PolicyName(args.policy),
-        duration=args.duration,
-        enable_nack=args.nack,
-        enable_audio=args.audio,
-    )
-    result = run_session(config)
-    print(session_report(result))
-    if args.audio:
-        print()
-        print(f"audio mean latency : "
-              f"{result.mean_audio_latency() * 1e3:.1f} ms")
-        print(f"audio loss         : {result.audio_loss_fraction():.3%}")
-    return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = scenarios.step_drop_config(args.drop_ratio, seed=args.seed)
-    config = dataclasses.replace(
-        config,
-        policy=PolicyName(args.policy),
-        duration=args.duration,
-        enable_telemetry=True,
-    )
-    result = run_session(config)
+    [result] = run_many([_session_config(args, enable_telemetry=True)])
     assert result.traces is not None
     if args.list:
         for name in result.traces.series_names():
@@ -292,27 +245,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         text = report.format_text()
     _write_output(text, args.output, f"{len(report.hotspots)} hotspots")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if args.list_faults:
-        at = robustness.FAULT_AT if args.fault_at is None else args.fault_at
-        for name in robustness.FAULT_NAMES:
-            schedule = robustness.fault_suite(at)[name]
-            labels = ", ".join(spec.label() for spec in schedule)
-            print(f"{name:<22} {labels}")
-        return 0
-    return _cmd_artifact(args)
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.list_scenarios:
-        for name in sorted(fleet.SCENARIOS):
-            doc = (fleet.SCENARIOS[name].__doc__ or "").strip()
-            summary = doc.splitlines()[0] if doc else ""
-            print(f"{name:<22} {summary}")
-        return 0
-    return _cmd_artifact(args)
 
 
 def _cmd_shard_plan(args: argparse.Namespace) -> int:
@@ -475,8 +407,84 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
+    """The one step-drop session's flags, shared by run/trace/profile."""
+    parser.add_argument(
+        "--policy",
+        choices=[p.value for p in PolicyName],
+        default="adaptive",
+    )
+    parser.add_argument("--drop-ratio", type=float, default=0.2)
+    parser.add_argument("--duration", type=float, default=25.0)
+    parser.add_argument("--seed", type=int, default=1)
+
+
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    """Artifact-param flags, shared by ``experiments`` and ``shard plan``.
+
+    Each defaults to ``None``, which keeps the artifact's own value.
+    """
+    group = parser.add_argument_group(
+        "artifact params",
+        "override an artifact's own params (default: its own); a flag "
+        "for a param that a named artifact does not take is an error",
+    )
+    group.add_argument(
+        "--seeds",
+        type=int,
+        metavar="N",
+        help="seeds 1..N per point",
+    )
+    group.add_argument(
+        "--ratio",
+        dest="ratios",
+        action="append",
+        type=float,
+        metavar="R",
+        help="table1/figure4: drop ratio to include (repeatable)",
+    )
+    group.add_argument(
+        "--policy",
+        dest="policies",
+        action="append",
+        choices=[p.value for p in PolicyName],
+        help="chaos: policy to include (repeatable)",
+    )
+    group.add_argument(
+        "--scenario",
+        dest="scenarios",
+        action="append",
+        choices=sorted(set(fleet.SCENARIOS) | set(robustness.SCENARIOS)),
+        help="chaos/fleet: scenario to include (repeatable; see "
+        "docs/robustness.md and docs/fleet.md)",
+    )
+    group.add_argument(
+        "--subscribers",
+        type=int,
+        help="fleet: total subscriber population, split across the two "
+        "regions",
+    )
+    group.add_argument(
+        "--duration",
+        type=float,
+        help="chaos/fleet: capture duration in seconds",
+    )
+    group.add_argument(
+        "--fault",
+        dest="faults",
+        action="append",
+        choices=list(robustness.FAULT_NAMES),
+        help="chaos: fault schedule to include (repeatable)",
+    )
+    group.add_argument(
+        "--fault-at",
+        type=float,
+        help="chaos: when fault windows open, in seconds",
+    )
+
+
 def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
-    """Supervised-execution knobs shared by run/table1/chaos/fleet."""
+    """Supervised-execution knobs shared by run/experiments/shard run."""
     group = parser.add_argument_group(
         "supervision",
         "passing any of these enables the supervised executor "
@@ -537,34 +545,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one session")
-    run_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
+    run_p = sub.add_parser(
+        "run", help="run one session and print its report"
     )
-    run_p.add_argument("--drop-ratio", type=float, default=0.2)
-    run_p.add_argument("--duration", type=float, default=25.0)
-    run_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(run_p)
+    run_p.add_argument(
+        "--nack", action="store_true", help="recover losses with NACK"
+    )
+    run_p.add_argument(
+        "--audio", action="store_true", help="add an audio stream"
+    )
     _add_supervision_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
-
-    t1_p = sub.add_parser("table1", help="regenerate the headline table")
-    t1_p.add_argument("--seeds", type=int)
-    t1_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    t1_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    _add_supervision_flags(t1_p)
-    t1_p.set_defaults(func=_cmd_artifact, grid="table1")
 
     exp_p = sub.add_parser(
         "experiments",
@@ -585,35 +577,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="write DIR/NAME.json and DIR/NAME.txt instead of printing",
     )
+    exp_p.add_argument(
+        "--format",
+        choices=list(artifacts.FORMATS),
+        default="table",
+        help="output format (default: table; json prints NAME.json)",
+    )
+    exp_p.add_argument(
+        "--output",
+        "-o",
+        default=None,
+        help="output file (default or '-': stdout)",
+    )
+    _add_param_flags(exp_p)
+    _add_supervision_flags(exp_p)
     exp_p.set_defaults(func=_cmd_experiments)
-
-    rep_p = sub.add_parser(
-        "report", help="full analysis report of one session"
-    )
-    rep_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    rep_p.add_argument("--drop-ratio", type=float, default=0.2)
-    rep_p.add_argument("--duration", type=float, default=25.0)
-    rep_p.add_argument("--seed", type=int, default=1)
-    rep_p.add_argument("--nack", action="store_true")
-    rep_p.add_argument("--audio", action="store_true")
-    rep_p.set_defaults(func=_cmd_report)
 
     trace_p = sub.add_parser(
         "trace",
         help="run one telemetry-enabled session and export its traces",
     )
-    trace_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    trace_p.add_argument("--drop-ratio", type=float, default=0.2)
-    trace_p.add_argument("--duration", type=float, default=25.0)
-    trace_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(trace_p)
     trace_p.add_argument(
         "--format",
         choices=["jsonl", "csv"],
@@ -643,14 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="profile one pinned session and print the top hotspots",
     )
-    prof_p.add_argument(
-        "--policy",
-        choices=[p.value for p in PolicyName],
-        default="adaptive",
-    )
-    prof_p.add_argument("--drop-ratio", type=float, default=0.2)
-    prof_p.add_argument("--duration", type=float, default=25.0)
-    prof_p.add_argument("--seed", type=int, default=1)
+    _add_session_flags(prof_p)
     prof_p.add_argument(
         "--top",
         type=int,
@@ -676,125 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output file (default or '-': stdout)",
     )
     prof_p.set_defaults(func=_cmd_profile)
-
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="run the fault-injection robustness matrix",
-    )
-    chaos_p.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        choices=sorted(robustness.SCENARIOS),
-        help="scenario to include (repeatable; default: "
-        f"{', '.join(robustness.DEFAULT_SCENARIOS)})",
-    )
-    chaos_p.add_argument(
-        "--fault",
-        action="append",
-        dest="faults",
-        choices=list(robustness.FAULT_NAMES),
-        help="fault schedule to include (repeatable; default: all)",
-    )
-    chaos_p.add_argument(
-        "--policy",
-        action="append",
-        dest="policies",
-        choices=[p.value for p in PolicyName],
-        help="policy to include (repeatable; default: "
-        f"{', '.join(p.value for p in robustness.DEFAULT_POLICIES)})",
-    )
-    chaos_p.add_argument("--seeds", type=int)
-    chaos_p.add_argument("--duration", type=float)
-    chaos_p.add_argument(
-        "--fault-at",
-        type=float,
-        help="when fault windows open (default: "
-        f"{robustness.FAULT_AT:g} s)",
-    )
-    chaos_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny pinned grid (CI smoke): steady scenario, two "
-        "faults, adaptive policy, one seed",
-    )
-    chaos_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    chaos_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    chaos_p.add_argument(
-        "--list",
-        dest="list_faults",
-        action="store_true",
-        help="list the canonical fault schedules instead of running",
-    )
-    _add_supervision_flags(chaos_p)
-    chaos_p.set_defaults(func=_cmd_chaos, grid="chaos")
-
-    fleet_p = sub.add_parser(
-        "fleet",
-        help="run city-scale SFU fleet population scenarios "
-        "(see docs/fleet.md)",
-    )
-    fleet_p.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        choices=sorted(fleet.SCENARIOS),
-        help="population scenario to include (repeatable; default: "
-        f"{', '.join(fleet.DEFAULT_SCENARIOS)})",
-    )
-    fleet_p.add_argument(
-        "--seeds",
-        type=int,
-        metavar="N",
-        help="seeds 1..N per scenario (default: 1)",
-    )
-    fleet_p.add_argument(
-        "--subscribers",
-        type=int,
-        help="total subscriber population, split across the two "
-        f"regions (default: {fleet.SUBSCRIBERS})",
-    )
-    fleet_p.add_argument(
-        "--duration",
-        type=float,
-        help=f"capture duration in seconds (default: {fleet.DURATION:g})",
-    )
-    fleet_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny pinned grid (CI smoke): steady + "
-        "regional_degradation, one seed, 20 subscribers, 8 s",
-    )
-    fleet_p.add_argument(
-        "--format",
-        choices=["table", "json", "csv"],
-        default="table",
-        help="output format (default: table)",
-    )
-    fleet_p.add_argument(
-        "--output",
-        "-o",
-        default=None,
-        help="output file (default or '-': stdout)",
-    )
-    fleet_p.add_argument(
-        "--list",
-        dest="list_scenarios",
-        action="store_true",
-        help="list the population scenarios instead of running",
-    )
-    _add_supervision_flags(fleet_p)
-    fleet_p.set_defaults(func=_cmd_fleet, grid="fleet")
 
     resume_p = sub.add_parser(
         "resume",
@@ -835,66 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="number of shards to stripe the batch over",
     )
-    splan_p.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        metavar="N",
-        help="seeds 1..N per point (default: the artifact's own)",
-    )
-    splan_p.add_argument(
-        "--ratio",
-        dest="ratios",
-        action="append",
-        type=float,
-        metavar="R",
-        help="table1/figure4: drop ratio to include (repeatable; "
-        "default: the artifact's own)",
-    )
-    splan_p.add_argument(
-        "--policy",
-        dest="policies",
-        action="append",
-        choices=[p.value for p in PolicyName],
-        help="chaos: policy to include (repeatable; default: "
-        "adaptive+webrtc)",
-    )
-    splan_p.add_argument(
-        "--scenario",
-        dest="scenarios",
-        action="append",
-        choices=sorted(set(fleet.SCENARIOS) | set(robustness.SCENARIOS)),
-        help="fleet/chaos: scenario to include (repeatable; "
-        "default: the artifact's own)",
-    )
-    splan_p.add_argument(
-        "--subscribers",
-        type=int,
-        default=None,
-        help="fleet: total subscriber population "
-        f"(default: {fleet.SUBSCRIBERS})",
-    )
-    splan_p.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="fleet/chaos: capture duration in seconds "
-        f"(defaults: {fleet.DURATION:g} / {robustness.DURATION:g})",
-    )
-    splan_p.add_argument(
-        "--fault",
-        dest="faults",
-        action="append",
-        choices=sorted(robustness.FAULT_NAMES),
-        help="chaos: fault to include (repeatable; default: all)",
-    )
-    splan_p.add_argument(
-        "--fault-at",
-        type=float,
-        default=None,
-        help="chaos: when fault windows open "
-        f"(default: {robustness.FAULT_AT:g})",
-    )
+    _add_param_flags(splan_p)
     splan_p.add_argument(
         "--output",
         "-o",

@@ -21,11 +21,10 @@ cell's config hash in batch order, and
 writes a payload, fresh or read back from ``<name>.json``, in any of
 :data:`FORMATS`: ``json`` is the payload itself, ``csv`` one line per
 row, and ``table`` the artifact's text. ``repro-rtc experiments``
-writes the json and the table; ``repro-rtc table1``, ``chaos`` and
-``fleet`` print their entries with flags for the params; and
-``repro-rtc shard plan`` splits any entry's batch across hosts
-(:mod:`repro.pipeline.shards`). Other params are a library call:
-``render(produce("figure4", seeds=[1, 2, 3, 4, 5]))``.
+prints any entry in any format, with flags for its params, or writes
+its json and table; and ``repro-rtc shard plan`` splits any entry's
+batch across hosts (:mod:`repro.pipeline.shards`). Other params are a
+library call: ``render(produce("figure4", seeds=[1, 2, 3, 4, 5]))``.
 """
 
 from __future__ import annotations
@@ -621,14 +620,14 @@ def render(payload: dict, fmt: str = "table") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write(name: str, out_dir: Path | str) -> tuple[Path, Path]:
-    """Produce ``name`` into ``out_dir`` as ``<name>.json`` and the
+def write(payload: dict, out_dir: Path | str) -> tuple[Path, Path]:
+    """Write a payload into ``out_dir`` as ``<name>.json`` and the
     ``<name>.txt`` rendered from it."""
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    result = produce(name)
+    name = payload["artifact"]
     json_path = directory / f"{name}.json"
     txt_path = directory / f"{name}.txt"
-    json_path.write_text(render(result, "json"), encoding="utf-8")
-    txt_path.write_text(render(result), encoding="utf-8")
+    json_path.write_text(render(payload, "json"), encoding="utf-8")
+    txt_path.write_text(render(payload), encoding="utf-8")
     return json_path, txt_path

@@ -1,22 +1,11 @@
-"""Evaluation metrics: latency, quality, and summary formatting."""
+"""Evaluation metrics: latency helpers and summary formatting."""
 
-from .latency import cdf, percentile, spike_episodes, time_above
-from .quality import (
-    mean_ssim_db,
-    percent_change,
-    quality_switches,
-    ssim_to_db,
-)
+from .latency import cdf, percentile, spike_episodes
 from .summary import format_series
 
 __all__ = [
     "cdf",
     "format_series",
-    "mean_ssim_db",
-    "percent_change",
     "percentile",
-    "quality_switches",
     "spike_episodes",
-    "ssim_to_db",
-    "time_above",
 ]

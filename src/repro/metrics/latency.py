@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ReproError
-from ..floatsum import left_sum
 
 
 def cdf(values: np.ndarray | list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -56,14 +55,3 @@ def spike_episodes(
     if start is not None:
         episodes.append((start, float(t[-1]), peak))
     return episodes
-
-
-def time_above(
-    times: np.ndarray | list[float],
-    latencies: np.ndarray | list[float],
-    threshold: float,
-) -> float:
-    """Total time (s) latency spent above ``threshold``."""
-    return left_sum(end - start for start, end, _ in spike_episodes(
-        times, latencies, threshold
-    ))

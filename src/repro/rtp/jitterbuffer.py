@@ -93,6 +93,22 @@ def owner_of(
     return None
 
 
+def file_by_seq(
+    frames: dict[int, FrameRecord], order: list[int], record: FrameRecord
+) -> None:
+    """File a new ``record`` in ``frames`` and its index in ``order``,
+    keeping ``order`` sorted by ``base_seq`` for :func:`owner_of`.
+
+    An encoder stall releases frames out of index order, so ``base_seq``
+    order need not be index order.
+    """
+    frames[record.index] = record
+    if order and record.base_seq < frames[order[-1]].base_seq:
+        insort(order, record.index, key=lambda i: frames[i].base_seq)
+    else:
+        order.append(record.index)
+
+
 class FrameAssembler:
     """Reassembles frames and maintains the decode reference chain."""
 
@@ -122,9 +138,7 @@ class FrameAssembler:
         self._playout = playout
         self._telemetry = telemetry or NULL_TELEMETRY
         self._frames: dict[int, FrameRecord] = {}
-        # The frame indices sorted by base_seq, for :func:`owner_of`. An
-        # encoder stall releases frames out of index order, so that
-        # need not be index order.
+        # The frame indices sorted by base_seq, for :func:`owner_of`.
         self._order: list[int] = []
         # Incomplete, not-yet-lost records only: the per-packet loss scan
         # walks this instead of every frame ever seen.
@@ -191,7 +205,7 @@ class FrameAssembler:
                         temporal_layer=layer,
                         base_seq=seq - packet.frame_packet_index,
                     )
-                    self._insert(record)
+                    file_by_seq(self._frames, self._order, record)
                     open_frames[index] = record
                 # else: an older frame is still incomplete — the next
                 # packet may confirm its loss; slow path.
@@ -226,7 +240,7 @@ class FrameAssembler:
                 temporal_layer=layer,
                 base_seq=packet.seq - packet.frame_packet_index,
             )
-            self._insert(record)
+            file_by_seq(self._frames, self._order, record)
             self._open[packet.frame_index] = record
         if packet.frame_packet_index in record.positions:
             return None  # duplicate
@@ -245,16 +259,6 @@ class FrameAssembler:
         return None
 
     # ------------------------------------------------------------------
-    def _insert(self, record: FrameRecord) -> None:
-        """File a new record, keeping ``_order`` sorted by ``base_seq``."""
-        frames = self._frames
-        frames[record.index] = record
-        order = self._order
-        if order and record.base_seq < frames[order[-1]].base_seq:
-            insort(order, record.index, key=lambda i: frames[i].base_seq)
-        else:
-            order.append(record.index)
-
     def _try_display(self, record: FrameRecord, now: float) -> FrameRecord | None:
         if record.frame_type == "I":
             self._chain_intact = True

@@ -26,7 +26,7 @@ from typing import Callable
 from ..errors import ConfigError, TransportError
 from ..netsim.packet import Packet
 from ..telemetry.recorder import NULL_TELEMETRY, Telemetry
-from .jitterbuffer import DECODE_DELAY, FrameRecord, owner_of
+from .jitterbuffer import DECODE_DELAY, FrameRecord, file_by_seq, owner_of
 
 
 @dataclass(frozen=True)
@@ -137,6 +137,7 @@ class NackFrameAssembler:
         "_last_pli_time",
         "_frames",
         "_order",
+        "_by_seq",
         "_scan_start",
         "_received_seqs",
         "_missing",
@@ -174,6 +175,8 @@ class NackFrameAssembler:
         # re-walking every frame on every packet.
         self._order: list[int] = []
         self._scan_start = 0
+        # The same indices sorted by base_seq, for :func:`owner_of`.
+        self._by_seq: list[int] = []
         self._received_seqs: set[int] = set()
         # Unresolved gaps only; a gap leaves on arrival or when it is
         # declared lost, so per-packet work never rescans old losses.
@@ -305,7 +308,7 @@ class NackFrameAssembler:
                 temporal_layer=layer,
                 base_seq=packet.seq - packet.frame_packet_index,
             )
-            self._frames[packet.frame_index] = record
+            file_by_seq(self._frames, self._by_seq, record)
             order = self._order
             index = packet.frame_index
             if not order or index > order[-1]:
@@ -409,9 +412,7 @@ class NackFrameAssembler:
     ) -> None:
         breaks_chain = False
         for seq in newly_lost:
-            # ``_order`` is index order, which is ``base_seq`` order
-            # unless an encoder stall released frames out of order.
-            owner = owner_of(self._frames, self._order, seq)
+            owner = owner_of(self._frames, self._by_seq, seq)
             # Losing a non-reference (T1) frame is recoverable without
             # a keyframe; anything else breaks the chain.
             if owner is None or owner.temporal_layer == 0:

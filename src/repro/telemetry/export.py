@@ -10,6 +10,10 @@ traces stream well and diff cleanly:
   ``{"type": "counter"|"gauge", "name": ..., "value": ...}``.
 * **CSV** — header ``series,time,value``, probe samples only (counters
   and gauges have no timestamp and are omitted).
+
+Both write every number as a float, as :meth:`Telemetry.to_dict` stores
+it, so a recorder exports the same text after the result cache or the
+worker pool.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def csv_lines(
     yield "series,time,value"
     for probe in _selected(telemetry, series):
         for t, v in probe:
-            yield f"{probe.name},{t!r},{v!r}"
+            yield f"{probe.name},{float(t)!r},{float(v)!r}"
 
 
 def export_text(

@@ -39,28 +39,3 @@ def ms(value: float) -> float:
     """Convert milliseconds to seconds."""
     return value * MS
 
-
-def seconds_to_ms(value: float) -> float:
-    """Convert seconds to milliseconds."""
-    return value * 1e3
-
-
-def bytes_to_bits(num_bytes: int | float) -> float:
-    """Convert a byte count to bits."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to (possibly fractional) bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
-def transmission_delay(num_bytes: int | float, rate_bps: float) -> float:
-    """Serialization delay of ``num_bytes`` over a link of ``rate_bps``.
-
-    Raises:
-        ValueError: if the rate is not strictly positive.
-    """
-    if rate_bps <= 0:
-        raise ValueError(f"rate must be positive, got {rate_bps!r}")
-    return bytes_to_bits(num_bytes) / rate_bps

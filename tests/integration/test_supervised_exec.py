@@ -280,6 +280,7 @@ def test_cli_partial_failure_renders_markers_and_exit_code(
         [
             "--cache-dir",
             str(tmp_path / "cache"),
+            "experiments",
             "table1",
             "--seeds",
             "1",

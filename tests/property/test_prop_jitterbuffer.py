@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim.packet import Packet
-from repro.rtp.jitterbuffer import FrameAssembler, FrameRecord
+from repro.rtp.jitterbuffer import FrameAssembler, FrameRecord, file_by_seq
 from repro.telemetry.recorder import Telemetry
 
 
@@ -40,7 +40,7 @@ class _GeneralPathAssembler(FrameAssembler):
                 temporal_layer=payload.get("temporal_layer", 0),
                 base_seq=packet.seq - packet.frame_packet_index,
             )
-            self._insert(record)
+            file_by_seq(self._frames, self._order, record)
             self._open[packet.frame_index] = record
         if packet.frame_packet_index in record.positions:
             return None

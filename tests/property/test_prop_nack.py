@@ -147,19 +147,24 @@ class LinearScanAssembler(NackFrameAssembler):
 
 
 @st.composite
-def packet_stream(draw):
+def packet_stream(draw, stalls=False):
     """``(arrival, kind, args)`` events, in arrival order, for one sender.
 
     Frames of 1..4 media packets (some of them droppable T1 frames, an
     occasional keyframe), each followed by 0..2 FEC parity sequences in
     the same sequence space. A frame may be lost whole; any other packet
     may be lost, or arrive late, as a retransmission would, often after
-    its gap was declared lost. Polls run every 10 ms.
+    its gap was declared lost. Polls run every 10 ms. With ``stalls``
+    the frames take their sequence numbers in a random order, as an
+    encoder stall releases a burst of frames out of index order.
     """
     events = []
     seq = 0
     sent = 0.0
-    for frame in range(draw(st.integers(2, 14))):
+    frames = range(draw(st.integers(2, 14)))
+    if stalls:
+        frames = draw(st.permutations(frames))
+    for frame in frames:
         count = draw(st.integers(1, 4))
         frame_type = "I" if frame == 0 or draw(st.integers(0, 7)) == 0 else "P"
         layer = 0 if frame_type == "I" else draw(st.sampled_from((0, 0, 1)))
@@ -213,7 +218,7 @@ def _drive(cls, events):
     return assembler, calls
 
 
-@given(events=packet_stream())
+@given(events=st.one_of(packet_stream(), packet_stream(stalls=True)))
 @settings(max_examples=150, deadline=None)
 def test_confirmed_losses_match_the_linear_scan(events):
     fast, fast_calls = _drive(NackFrameAssembler, events)

@@ -7,8 +7,8 @@ import pytest
 from repro.baselines.default_abr import DefaultAbrPolicy
 from repro.baselines.salsify_like import SalsifyLikePolicy
 from repro.baselines.webrtc_like import WebrtcLikePolicy
-from repro.cc.fixed import FixedRateController
 from repro.cc.gcc.gcc import GoogCcController
+from repro.cc.interface import CongestionController
 from repro.codec.encoder import SimulatedEncoder
 from repro.codec.model import RateDistortionModel
 from repro.errors import ConfigError
@@ -35,8 +35,17 @@ def _rig(target=1_000_000):
     return scheduler, encoder, pacer
 
 
-class _StepController(FixedRateController):
-    """Fixed controller whose rate can be swapped by the test."""
+class _StepController(CongestionController):
+    """A controller that ignores feedback; the test sets its rate."""
+
+    def __init__(self, rate_bps):
+        self._rate = rate_bps
+
+    def on_packet_results(self, now, results):
+        pass
+
+    def target_bps(self):
+        return self._rate
 
     def set_rate(self, bps):
         self._rate = bps
@@ -62,13 +71,13 @@ def test_default_abr_rejects_bad_interval():
     _, encoder, pacer = _rig()
     with pytest.raises(ConfigError):
         DefaultAbrPolicy(
-            encoder, pacer, FixedRateController(1e6), update_interval=0
+            encoder, pacer, _StepController(1e6), update_interval=0
         )
 
 
 def test_default_abr_no_per_frame_intervention():
     _, encoder, pacer = _rig()
-    policy = DefaultAbrPolicy(encoder, pacer, FixedRateController(1e6))
+    policy = DefaultAbrPolicy(encoder, pacer, _StepController(1e6))
     directive = policy.before_frame(0.5)
     assert not directive.skip
     assert directive.max_bits is None

@@ -23,6 +23,7 @@ def test_run_defaults():
     args = parser.parse_args(["run"])
     assert args.policy == "adaptive"
     assert args.drop_ratio == 0.2
+    assert not args.nack and not args.audio
 
 
 def test_run_subcommand_executes(capsys):
@@ -31,8 +32,8 @@ def test_run_subcommand_executes(capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "mean latency" in out
-    assert "policy            : webrtc" in out
+    assert "Session report — policy=webrtc seed=2" in out
+    assert "Latency (capture → display)" in out
 
 
 def test_invalid_policy_rejected():
@@ -54,23 +55,36 @@ def test_figure_choices(capsys):
     assert all(name in captured.err for name in ARTIFACTS)
 
 
-def test_report_subcommand_executes(capsys):
+def test_run_prints_the_session_report(capsys):
     code = main(
-        ["report", "--policy", "adaptive", "--duration", "6",
-         "--seed", "2", "--audio"]
+        ["--no-cache", "run", "--policy", "adaptive", "--duration", "25",
+         "--seed", "2", "--nack", "--audio"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "Session report" in out
-    assert "audio mean latency" in out
+    # The report, its audio lines, the drop-window lines, and last the
+    # perf line of a fresh run.
+    marks = [
+        "Session report — policy=adaptive seed=2",
+        "Latency (capture → display)",
+        "Quality",
+        "audio mean latency",
+        "drop-window mean",
+        "drop-window p95",
+        "perf              : ",
+    ]
+    positions = [out.index(mark) for mark in marks]
+    assert positions == sorted(positions)
+    assert out.splitlines()[-1].startswith(marks[-1])
 
 
 def test_report_flags_parsed():
     parser = build_parser()
-    args = parser.parse_args(["report", "--nack", "--audio"])
+    args = parser.parse_args(["run", "--nack", "--audio"])
     assert args.nack and args.audio
-    args = parser.parse_args(["report"])
-    assert not args.nack and not args.audio
+    for command in ("trace", "profile"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--nack"])
 
 
 def test_extensions_flag_parsed():
@@ -81,9 +95,9 @@ def test_extensions_flag_parsed():
     assert args.names == ["extension_e_estimators"]
     assert args.out == "results"
     assert parser.parse_args(["experiments"]).out is None
-    # The seed and drop-ratio flags went with figure/ablate/extensions.
-    with pytest.raises(SystemExit):
-        parser.parse_args(["experiments", "--seeds", "2"])
+    # The param flags parse for any name; resolving them is the check.
+    args = parser.parse_args(["experiments", "--seeds", "2"])
+    assert args.seeds == 2 and args.names == []
 
 
 def test_experiments_prints_and_writes_the_committed_artifact(
@@ -125,40 +139,60 @@ def test_no_cache_skips_writability_probe(tmp_path, capsys):
          "run", "--duration", "6", "--seed", "2"]
     )
     assert code == 0
-    assert "mean latency" in capsys.readouterr().out
+    assert "Session report" in capsys.readouterr().out
 
 
 def test_chaos_flags_parsed():
     parser = build_parser()
     args = parser.parse_args(
-        ["chaos", "--scenario", "steady", "--fault", "link_flap",
-         "--policy", "adaptive", "--seeds", "1", "--format", "csv",
-         "-o", "out.csv"]
+        ["experiments", "chaos", "--scenario", "steady", "--fault",
+         "link_flap", "--policy", "adaptive", "--seeds", "1",
+         "--fault-at", "4", "--format", "csv", "-o", "out.csv"]
     )
+    assert args.names == ["chaos"]
     assert args.scenarios == ["steady"]
     assert args.faults == ["link_flap"]
     assert args.policies == ["adaptive"]
+    assert args.fault_at == 4.0
     assert args.format == "csv"
     assert args.output == "out.csv"
     with pytest.raises(SystemExit):
-        parser.parse_args(["chaos", "--fault", "bogus"])
+        parser.parse_args(["experiments", "chaos", "--fault", "bogus"])
     with pytest.raises(SystemExit):
-        parser.parse_args(["chaos", "--scenario", "bogus"])
+        parser.parse_args(["experiments", "chaos", "--scenario", "bogus"])
+    # The chaos and fleet subcommands went: `experiments NAME` prints
+    # their artifacts.
+    for command in ("table1", "chaos", "fleet", "report"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command])
 
 
-def test_chaos_list_prints_fault_suite(capsys):
-    code = main(["--no-cache", "chaos", "--list"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "feedback_blackout" in out
-    assert "blackout_plus_outage" in out
+def test_docs_list_every_fault_schedule_and_fleet_scenario():
+    from repro.experiments import fleet, robustness
+
+    docs = RESULTS_DIR.parents[1] / "docs"
+    faults = (docs / "robustness.md").read_text(encoding="utf-8")
+    for name in robustness.FAULT_NAMES:
+        assert f"| `{name}` |" in faults
+    scenarios = (docs / "fleet.md").read_text(encoding="utf-8")
+    for name in fleet.SCENARIOS:
+        assert f"| `{name}` |" in scenarios
 
 
-def test_chaos_quick_writes_json_report(tmp_path, capsys):
+#: The flags of a small chaos grid: the steady scenario, two faults,
+#: the adaptive policy, one seed.
+SMALL_CHAOS = [
+    "--scenario", "steady", "--fault", "feedback_blackout",
+    "--fault", "capacity_outage", "--policy", "adaptive", "--seeds", "1",
+    "--duration", "14",
+]
+
+
+def test_chaos_json_report_goes_to_the_output_file(tmp_path, capsys):
     out_path = tmp_path / "degradation.json"
     code = main(
-        ["--no-cache", "chaos", "--quick", "--format", "json",
-         "-o", str(out_path)]
+        ["--no-cache", "experiments", "chaos", *SMALL_CHAOS,
+         "--format", "json", "-o", str(out_path)]
     )
     assert code == 0
     import json
@@ -168,13 +202,15 @@ def test_chaos_quick_writes_json_report(tmp_path, capsys):
     assert payload["params"]["scenarios"] == ["steady"]
     assert payload["params"]["policies"] == ["adaptive"]
     assert len(payload["rows"]) == 2
-    assert "wrote 2 cells" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"wrote chaos (2 rows) to {out_path}" in captured.err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["table1", "--seeds", "0"],
+        ["experiments", "table1", "--seeds", "0"],
         ["shard", "plan", "--grid", "figure4", "--shards", "1",
          "--seeds", "0"],
         ["shard", "plan", "--grid", "table1", "--shards", "1",
@@ -205,6 +241,18 @@ def test_flag_the_artifact_does_not_take_is_usage_error(
     assert "figure2 takes no seeds param" in captured.err
     assert captured.out == ""
     assert not plan_path.exists()
+    # Every name's params resolve before any batch runs: table1 takes
+    # seeds, figure2 does not, and nothing is printed or written.
+    out_path = tmp_path / "out.txt"
+    code = main(
+        ["--no-cache", "experiments", "table1", "figure2", "--seeds", "1",
+         "-o", str(out_path)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "figure2 takes no seeds param" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
     # The compare subcommand went with its grid.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["compare"])
@@ -213,27 +261,44 @@ def test_flag_the_artifact_does_not_take_is_usage_error(
 def test_table1_format_flags_parsed():
     parser = build_parser()
     args = parser.parse_args(
-        ["table1", "--seeds", "2", "--format", "csv", "-o", "t.csv"]
+        ["experiments", "table1", "--seeds", "2", "--ratio", "0.3",
+         "--format", "csv", "-o", "t.csv"]
     )
+    assert args.seeds == 2
+    assert args.ratios == [0.3]
     assert args.format == "csv"
     assert args.output == "t.csv"
-    args = parser.parse_args(["table1"])
+    args = parser.parse_args(["experiments", "table1"])
     assert args.format == "table"
+    assert args.seeds is None and args.ratios is None
     with pytest.raises(SystemExit):
-        parser.parse_args(["table1", "--format", "xml"])
+        parser.parse_args(["experiments", "table1", "--format", "xml"])
+
+
+def test_out_takes_no_format_or_output_file(tmp_path, capsys):
+    for extra in (["--format", "json"], ["-o", str(tmp_path / "t.txt")]):
+        code = main(
+            ["--no-cache", "experiments", "figure2",
+             "--out", str(tmp_path / "results"), *extra]
+        )
+        assert code == 2
+        assert "--out writes NAME.json and NAME.txt" in (
+            capsys.readouterr().err
+        )
+    assert not (tmp_path / "results").exists()
 
 
 def test_supervision_flags_parsed():
     parser = build_parser()
-    for command in ("run", "table1", "chaos"):
+    for command in (["run"], ["experiments", "table1"]):
         args = parser.parse_args(
-            [command, "--session-timeout", "30", "--max-retries", "1",
+            [*command, "--session-timeout", "30", "--max-retries", "1",
              "--manifest", "m.json"]
         )
         assert args.session_timeout == 30.0
         assert args.max_retries == 1
         assert args.manifest == "m.json"
-        args = parser.parse_args([command])
+        args = parser.parse_args(command)
         assert args.session_timeout is None
         assert args.max_retries is None
         assert args.manifest is None
@@ -293,7 +358,7 @@ def test_supervised_run_writes_manifest(tmp_path, capsys):
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert "mean latency" in captured.out
+    assert "Session report" in captured.out
     assert "resume with" in captured.err
     import json
 
@@ -316,7 +381,7 @@ def test_interrupt_exits_130_and_seals_manifest(
     monkeypatch.setattr(artifacts, "run_many", interrupted)
     manifest_path = tmp_path / "run.json"
     code = main(
-        ["--no-cache", "chaos", "--quick",
+        ["--no-cache", "experiments", "chaos", *SMALL_CHAOS,
          "--manifest", str(manifest_path)]
     )
     assert code == 130

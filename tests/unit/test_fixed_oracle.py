@@ -1,23 +1,11 @@
-"""Fixed and oracle congestion controllers."""
+"""The oracle congestion controller."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cc.fixed import FixedRateController
 from repro.cc.oracle import OracleController
 from repro.errors import ConfigError
-
-
-def test_fixed_rate_ignores_feedback():
-    controller = FixedRateController(1e6)
-    controller.on_packet_results(1.0, [])
-    assert controller.target_bps() == 1e6
-
-
-def test_fixed_rejects_nonpositive():
-    with pytest.raises(ConfigError):
-        FixedRateController(0)
 
 
 def test_oracle_tracks_capacity(drop_trace):

@@ -21,7 +21,7 @@ RUN_ID_RE = re.compile(
 
 
 def test_run_id_format():
-    assert RUN_ID_RE.match(new_run_id(["repro-rtc", "table1"]))
+    assert RUN_ID_RE.match(new_run_id(["repro-rtc", "experiments"]))
     assert RUN_ID_RE.match(new_run_id(None))
 
 

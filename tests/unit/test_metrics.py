@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.metrics.latency import cdf, percentile, spike_episodes, time_above
-from repro.metrics.quality import (
-    mean_ssim_db,
-    percent_change,
-    quality_switches,
-    ssim_to_db,
-)
+from repro.metrics.latency import cdf, percentile, spike_episodes
 from repro.metrics.summary import format_series
 
 
@@ -52,36 +46,6 @@ def test_spike_episode_open_at_end():
 def test_spike_requires_aligned_arrays():
     with pytest.raises(ReproError):
         spike_episodes([0.0], [0.1, 0.2], 0.3)
-
-
-def test_time_above():
-    times = [0.0, 1.0, 2.0, 3.0]
-    lat = [0.5, 0.5, 0.1, 0.5]
-    assert time_above(times, lat, 0.3) == pytest.approx(2.0)
-
-
-def test_percent_change():
-    assert percent_change(0.9, 0.927) == pytest.approx(3.0)
-    with pytest.raises(ReproError):
-        percent_change(0.0, 1.0)
-
-
-def test_ssim_to_db():
-    assert ssim_to_db(0.9) == pytest.approx(10.0)
-    assert ssim_to_db(0.99) == pytest.approx(20.0)
-    with pytest.raises(ReproError):
-        ssim_to_db(1.0)
-
-
-def test_mean_ssim_db():
-    assert mean_ssim_db([0.9, 0.9]) == pytest.approx(10.0)
-    with pytest.raises(ReproError):
-        mean_ssim_db([])
-
-
-def test_quality_switches_counts_jumps():
-    assert quality_switches([20, 21, 30, 31, 40], step=4.0) == 2
-    assert quality_switches([20], step=4.0) == 0
 
 
 def test_format_series_aligns():

@@ -113,6 +113,38 @@ def test_lost_t1_does_not_break_chain(rig):
     assert records[2].display_time is not None
 
 
+def test_lost_t1_owner_found_when_frames_take_seqs_out_of_index_order():
+    """An encoder stall packetizes T1 frame 1 after T0 frame 2: losing
+    frame 1's seq 5 must still find frame 1 as its owner, so the chain
+    holds and no keyframe is asked for."""
+    plis = []
+    assembler = NackFrameAssembler(
+        send_nack=lambda seqs: None,
+        send_pli=lambda: plis.append(1),
+        config=NackConfig(
+            reorder_grace=0.01, retry_interval=0.05, max_retries=1
+        ),
+    )
+    arrivals = [
+        _packet(0, 0, 0, 2, frame_type="I"),
+        _packet(1, 0, 1, 2, frame_type="I"),
+        _packet(2, 2, 0, 2),
+        _packet(3, 2, 1, 2),
+        _packet(4, 1, 0, 2, layer=1),  # seq 5, frame 1's second, is lost
+        _packet(6, 3, 0, 2),
+        _packet(7, 3, 1, 2),
+    ]
+    for k, packet in enumerate(arrivals):
+        assembler.on_packet(packet, 0.10 + 0.01 * k)
+    for t in (0.20, 0.30, 0.40):
+        assembler.poll(t)
+    assert plis == []
+    assert assembler.chain_intact
+    records = {r.index: r for r in assembler.frames()}
+    assert records[1].lost
+    assert records[3].display_time is not None
+
+
 def test_keyframe_recovers_after_confirmed_loss(rig):
     assembler, _, _ = rig
     assembler.on_packet(_packet(0, 0, frame_type="I"), 0.10)

@@ -102,6 +102,18 @@ def test_csv_export_contents():
     assert "qp,0.0,30.0" in lines[1]
 
 
+def test_csv_export_survives_the_dict_round_trip():
+    # A result that crossed the cache or the worker pool carries its
+    # recorder through to_dict/from_dict, which stores every sample as a
+    # float: integer samples must export the same either way.
+    t = Telemetry()
+    t.probe("encoder.frame_bytes", 0, 35049)
+    t.probe("encoder.frame_bytes", 0.5, 1200)
+    back = Telemetry.from_dict(json.loads(json.dumps(t.to_dict())))
+    assert list(csv_lines(back)) == list(csv_lines(t))
+    assert "encoder.frame_bytes,0.0,35049.0" in list(csv_lines(t))
+
+
 def test_export_series_filter():
     t = make_recorder()
     text = export_text(t, fmt="csv", series=["rate"])

@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.units import (
-    bits_to_bytes,
-    bytes_to_bits,
-    kbps,
-    mbps,
-    ms,
-    seconds_to_ms,
-    transmission_delay,
-)
+from repro.units import kbps, mbps, ms
 
 
 def test_kbps_converts_to_bits_per_second():
@@ -26,22 +18,3 @@ def test_mbps_converts_to_bits_per_second():
 def test_ms_converts_to_seconds():
     assert ms(20) == pytest.approx(0.020)
 
-
-def test_seconds_to_ms_roundtrip():
-    assert seconds_to_ms(ms(37.5)) == pytest.approx(37.5)
-
-
-def test_bytes_bits_roundtrip():
-    assert bits_to_bytes(bytes_to_bits(1200)) == pytest.approx(1200)
-
-
-def test_transmission_delay_basic():
-    # 1250 bytes = 10000 bits at 1 Mbps -> 10 ms.
-    assert transmission_delay(1250, 1_000_000) == pytest.approx(0.010)
-
-
-def test_transmission_delay_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        transmission_delay(100, 0)
-    with pytest.raises(ValueError):
-        transmission_delay(100, -5)
